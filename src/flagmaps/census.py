@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import MAP, FlagSystem, SurfaceInvariants, encode, surface_invariants
+from .core import MAP, FlagSystem, SurfaceInvariants, _labelling, encode, surface_invariants
 from .symmetry import automorphism_group, stability_report, symmetry_class
 
 
@@ -87,35 +87,10 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
 
 
 def _self_canonical(tables: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Is the BFS-labelled table its own least relabeling?
-
-    Compares the relabeling from every alternative start flag entry by
-    entry in slot order, aborting at the first difference.
-    """
-    t0, t1, t2 = tables
+    """Is the BFS-labelled table its own least relabeling: no start below it?"""
+    rows = tuple(zip(tables, tables))
     for start in range(1, n):
-        new = [-1] * n
-        new[start] = 0
-        order = [start]
-        verdict = 0
-        p = 0
-        while p < len(order):
-            old = order[p]
-            for table in (t0, t1, t2):
-                t = table[old]
-                lab = new[t]
-                if lab < 0:
-                    lab = len(order)
-                    new[t] = lab
-                    order.append(t)
-                base = table[p]
-                if lab != base:
-                    verdict = -1 if lab < base else 1
-                    break
-            if verdict:
-                break
-            p += 1
-        if verdict < 0:
+        if _labelling(rows, start)[0] < 0:
             return False
     return True
 
@@ -162,7 +137,7 @@ def stability_census(max_flags: int, kind: str = MAP) -> list[CensusRecord]:
         sym = symmetry_class(fs, aut)
         stable = index = cover_order = None
         if not inv.orientable_no_boundary:
-            rep = stability_report(fs)
+            rep = stability_report(fs, aut)
             stable = rep.stable
             index = rep.instability_index
             cover_order = rep.cover_aut_order

@@ -102,7 +102,7 @@ def analysis_summary(fs: FlagSystem) -> dict:
         "edgeRegular": sym.edge_regular,
     }
     if not inv.orientable_no_boundary:
-        rep = stability_report(fs)
+        rep = stability_report(fs, aut)
         summary.update(
             coverAut=rep.cover_aut_order,
             index=_fraction_str(rep.instability_index),
@@ -247,6 +247,16 @@ def _verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagmaps",
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_op)
 
     p = sub.add_parser("census", help="enumerate classes with stability")
-    p.add_argument("--max-flags", type=int, required=True)
+    p.add_argument("--max-flags", type=_positive_int, required=True)
     p.add_argument("--kind", choices=[MAP, HYPERMAP], default=MAP)
     p.add_argument("--out")
     p.set_defaults(func=_census)
@@ -323,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FlagmapsError as exc:
+    except (FlagmapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

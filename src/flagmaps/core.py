@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FlagmapsError
 from .perms import Perm, is_involution, is_perm, orbits
@@ -369,21 +368,6 @@ def boundary_components(fs: FlagSystem) -> int:
 # Canonical form, isomorphism, relabeling
 
 
-def bfs_relabeling(fs: FlagSystem, start: int) -> list[int]:
-    """Map old flag -> new label, labels assigned in breadth-first
-    discovery order from ``start``, scanning generators g0, g1, g2."""
-    new = [-1] * fs.flags
-    new[start] = 0
-    order = [start]
-    for f in order:
-        for g in fs.gens:
-            t = g[f]
-            if new[t] < 0:
-                new[t] = len(order)
-                order.append(t)
-    return new
-
-
 def relabel(fs: FlagSystem, perm: Perm) -> FlagSystem:
     """Conjugate the system by a relabeling of flags (new = perm[old])."""
     n = fs.flags
@@ -411,26 +395,70 @@ def encode(fs: FlagSystem) -> bytes:
     return head + body
 
 
+def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
+    """Walk the breadth-first labelling from ``start`` over slots (p, g0),
+    (p, g1), (p, g2), p = 0, 1, ..., against a reference labelled table,
+    ``rows`` = ((g0, row0), ...); a None row matches any label.  Returns the
+    sign of the first differing slot (0 on a full tie), labels and order."""
+    new = [-1] * len(rows[0][0])
+    new[start] = 0
+    order = [start]
+    for p, f in enumerate(order):
+        for g, row in rows:
+            t = g[f]
+            lab = new[t]
+            if lab < 0:
+                lab = new[t] = len(order)
+                order.append(t)
+            if row is not None and lab != row[p]:
+                return (-1 if lab < row[p] else 1), new, order
+    return 0, new, order
+
+
 def canonical_form(fs: FlagSystem) -> bytes:
     """Least encoding over breadth-first relabelings from every start flag.
 
     Equal canonical forms characterize isomorphism (a flag bijection
-    commuting with the respective generators, matched by index).
+    commuting with the respective generators, matched by index).  Starts
+    are abandoned at their first slot above the least labelling so far.  A
+    tie is an automorphism, best order[k] -> order[k]; starts in the orbit
+    of a tried start under the automorphisms found are skipped.
     """
     fs.require_valid()
-    best: bytes | None = None
+    free = tuple((g, None) for g in fs.gens)
+    rows = ((fs.g0, (fs.flags,)),)  # above every labelling: no flag has label n
+    orbit = list(range(fs.flags))  # union-find; a root is its orbit's least flag
+
+    def root(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = x = orbit[orbit[x]]
+        return x
+
     for start in range(fs.flags):
-        enc = encode(relabel(fs, tuple(bfs_relabeling(fs, start))))
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return best
+        if root(start) < start:
+            continue
+        sign, _, order = _labelling(rows, start)
+        if sign < 0:
+            _, new, best_order = _labelling(free, start)
+            best = relabel(fs, new)
+            rows = tuple(zip(fs.gens, best.gens))
+        elif sign == 0:
+            for x, y in zip(best_order, order):
+                x, y = root(x), root(y)
+                orbit[max(x, y)] = min(x, y)
+    return encode(best)
 
 
 def is_isomorphic(a: FlagSystem, b: FlagSystem) -> bool:
+    """Label ``a`` from flag 0, then walk ``b`` from each start, abandoning
+    a start at its first slot that differs and stopping at a full tie."""
     if a.kind != b.kind or a.flags != b.flags:
         return False
-    return canonical_form(a) == canonical_form(b)
+    a.require_valid()
+    b.require_valid()
+    _, new, _ = _labelling(tuple((g, None) for g in a.gens), 0)
+    rows = tuple(zip(b.gens, relabel(a, new).gens))
+    return any(_labelling(rows, start)[0] == 0 for start in range(b.flags))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +531,3 @@ def export_diagram(fs: FlagSystem) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def instability_index(base_order: int, cover_order: int) -> Fraction:
-    """cover automorphism order / (2 * base order), exact."""
-    return Fraction(cover_order, 2 * base_order)

@@ -26,6 +26,11 @@ def serialize(fs: FlagSystem) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse(text: str) -> FlagSystem:
     """Parse and validate; raises MapFormatError or InvalidFlagSystemError
     (the latter embeds the violation report)."""
@@ -43,13 +48,13 @@ def parse(text: str) -> FlagSystem:
         raise MapFormatError(f"missing key {exc}") from exc
     if kind not in (MAP, HYPERMAP):
         raise MapFormatError(f"kind must be 'map' or 'hypermap', not {kind!r}")
-    if not isinstance(flags, int) or flags < 1:
+    if not _is_int(flags) or flags < 1:
         raise MapFormatError("flags must be a positive integer")
     for name, table in zip(("r0", "r1", "r2"), tables):
         if (
             not isinstance(table, list)
             or len(table) != flags
-            or not all(isinstance(x, int) for x in table)
+            or not all(_is_int(x) for x in table)
         ):
             raise MapFormatError(f"{name} must be a list of {flags} integers")
     fs = FlagSystem(kind, flags, *(tuple(t) for t in tables))

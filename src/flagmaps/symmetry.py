@@ -117,22 +117,24 @@ def _verify_lifted_subgroup(
     )
 
 
-def stability_report(fs: FlagSystem) -> StabilityReport:
+def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityReport:
     """Compare the automorphisms of a system with those of its double cover.
 
     The lifts of the base group together with the deck involution form a
     cover subgroup of order 2 * |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
-    |Aut cover| / (2 |Aut base|) equals 1.
+    |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
+    base group already computed.
     """
     dc = orientable_double_cover(fs)
-    base_aut = automorphism_group(fs)
+    if aut is None:
+        aut = automorphism_group(fs)
     cover_aut = automorphism_group(dc.cover)
-    index = Fraction(cover_aut.order, 2 * base_aut.order)
+    index = Fraction(cover_aut.order, 2 * aut.order)
     return StabilityReport(
-        base_aut_order=base_aut.order,
+        base_aut_order=aut.order,
         cover_aut_order=cover_aut.order,
         instability_index=index,
         stable=index == 1,
-        lifted_subgroup_verified=_verify_lifted_subgroup(dc, base_aut, cover_aut),
+        lifted_subgroup_verified=_verify_lifted_subgroup(dc, aut, cover_aut),
     )

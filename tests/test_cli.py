@@ -33,6 +33,15 @@ def test_parse_malformed_json():
         parse('{"kind":"torus","flags":2,"r0":[1,0],"r1":[1,0],"r2":[1,0]}')
 
 
+def test_parse_rejects_json_booleans():
+    with pytest.raises(MapFormatError):
+        parse('{"kind":"hypermap","flags":true,"r0":[false],"r1":[0],"r2":[0]}')
+    with pytest.raises(MapFormatError):
+        parse('{"kind":"hypermap","flags":1,"r0":[false],"r1":[0],"r2":[0]}')
+    with pytest.raises(MapFormatError):
+        parse('{"kind":"map","flags":2,"r0":[1,0],"r1":[true,0],"r2":[1,0]}')
+
+
 def test_parse_invalid_flag_system():
     text = '{"kind":"map","flags":3,"r0":[1,2,0],"r1":[0,1,2],"r2":[0,1,2]}'
     with pytest.raises(InvalidFlagSystemError) as err:
@@ -140,6 +149,21 @@ def test_cli_sym(capsys):
 def test_cli_domain_error_exit_1(capsys):
     assert main(["build", "hosohedron", "-n", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_missing_file_is_a_clean_error(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path / "missing.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_census_max_flags_must_be_positive(capsys):
+    for bad in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--max-flags", bad])
+        assert exc.value.code == 2
+        assert "--max-flags" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_2():

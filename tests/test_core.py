@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flagmaps.core import (
     HYPERMAP,
@@ -23,12 +24,14 @@ from flagmaps.covers import quotient_by
 from flagmaps.families import (
     glide_automorphism,
     hosohedron,
+    icosahedron,
     reflection_automorphism,
     semi_star,
+    symmetric_map,
     tetrahedron,
     torus_44,
 )
-from flagmaps.operations import dual
+from flagmaps.operations import dual, petrie
 from flagmaps.perms import identity
 
 
@@ -184,6 +187,110 @@ def test_kind_distinguished():
     a = FlagSystem(MAP, 2, swap, swap, swap)
     b = FlagSystem(HYPERMAP, 2, swap, swap, swap)
     assert not is_isomorphic(a, b)
+
+
+def _brute_canonical_form(fs):
+    """The least full encoding over the breadth-first relabelings from
+    every start flag, with no early abort and no pruning."""
+    best = None
+    for start in range(fs.flags):
+        new = [-1] * fs.flags
+        new[start] = 0
+        order = [start]
+        for f in order:
+            for g in fs.gens:
+                if new[g[f]] < 0:
+                    new[g[f]] = len(order)
+                    order.append(g[f])
+        code = encode(relabel(fs, tuple(new)))
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def _shuffled(fs, rng):
+    perm = list(range(fs.flags))
+    rng.shuffle(perm)
+    return relabel(fs, tuple(perm))
+
+
+def _small_classes(map_census_8, hypermap_census_7):
+    return [rec.fs for rec in map_census_8] + [
+        rec.fs for rec in hypermap_census_7 if rec.fs.flags <= 6
+    ]
+
+
+def test_canonical_form_matches_brute_force_on_census(map_census_8, hypermap_census_7):
+    rng = random.Random(11)
+    for fs in _small_classes(map_census_8, hypermap_census_7):
+        want = _brute_canonical_form(fs)
+        assert want == encode(fs)
+        assert canonical_form(_shuffled(fs, rng)) == want
+
+
+def test_canonical_form_matches_brute_force_on_symmetric_maps(icosa):
+    # large automorphism groups: almost every start is pruned by an orbit
+    rng = random.Random(12)
+    for fs in (icosa, torus_44("diag", 3), symmetric_map(5).fs, hosohedron(40)):
+        want = _brute_canonical_form(fs)
+        assert canonical_form(fs) == want
+        assert canonical_form(_shuffled(fs, rng)) == want
+
+
+def _same_size_images(fs):
+    if fs.kind == MAP:
+        return [dual(fs), petrie(fs), petrie(dual(fs))]
+    return [FlagSystem(fs.kind, fs.flags, *gens)
+            for gens in ((fs.g1, fs.g0, fs.g2), (fs.g2, fs.g1, fs.g0), (fs.g0, fs.g2, fs.g1))]
+
+
+def test_is_isomorphic_agrees_with_canonical_form(map_census_8, hypermap_census_7, icosa):
+    rng = random.Random(13)
+    classes = _small_classes(map_census_8, hypermap_census_7)
+    systems = classes + [icosa, torus_44("diag", 2), symmetric_map(5).fs]
+    negatives = 0
+    for fs in systems:
+        code = canonical_form(fs)
+        assert is_isomorphic(fs, _shuffled(fs, rng))
+        assert is_isomorphic(_shuffled(fs, rng), fs)
+        for image in _same_size_images(fs):
+            other = _shuffled(image, rng)
+            same = canonical_form(other) == code
+            negatives += not same
+            assert is_isomorphic(fs, other) == same
+            assert is_isomorphic(other, fs) == same
+    # distinct census classes of one size are never isomorphic
+    for x, y in zip(classes, classes[1:]):
+        if (x.kind, x.flags) == (y.kind, y.flags):
+            negatives += 1
+            assert not is_isomorphic(x, _shuffled(y, rng))
+    assert negatives > 100
+
+
+def test_canonical_form_and_is_isomorphic_reject_invalid_input():
+    bad = FlagSystem(MAP, 3, (1, 2, 0), (0, 1, 2), (0, 1, 2))
+    good = FlagSystem(MAP, 3, (0, 2, 1), (1, 0, 2), (0, 2, 1))
+    assert validate(good) == []
+    with pytest.raises(InvalidFlagSystemError):
+        canonical_form(bad)
+    with pytest.raises(InvalidFlagSystemError):
+        is_isomorphic(bad, good)
+    with pytest.raises(InvalidFlagSystemError):
+        is_isomorphic(good, bad)
+
+
+_PROPERTY_SYSTEMS = [
+    hosohedron(3), semi_star(4), tetrahedron(), torus_44("rect", 1),
+    dual(hosohedron(5)), FlagSystem(HYPERMAP, 3, (1, 0, 2), (0, 2, 1), (2, 1, 0)),
+]
+
+
+@given(st.sampled_from(_PROPERTY_SYSTEMS), st.data())
+def test_canonical_form_relabel_invariance_property(fs, data):
+    perm = data.draw(st.permutations(range(fs.flags)).map(tuple))
+    shuffled = relabel(fs, perm)
+    assert canonical_form(shuffled) == canonical_form(fs)
+    assert is_isomorphic(fs, shuffled)
 
 
 def _dot_graph(text):

@@ -118,3 +118,14 @@ def test_cover_order_divisible_by_twice_base():
         rep = stability_report(q)
         assert rep.cover_aut_order % (2 * rep.base_aut_order) == 0
         assert rep.instability_index.denominator == 1
+
+
+def test_stability_report_reuses_the_given_base_group(map_census_8, hypermap_census_7):
+    checked = 0
+    for rec in map_census_8 + hypermap_census_7:
+        if rec.invariants.orientable_no_boundary:
+            continue
+        aut = automorphism_group(rec.fs)
+        assert stability_report(rec.fs, aut) == stability_report(rec.fs)
+        checked += 1
+    assert checked > 100
