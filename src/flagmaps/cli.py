@@ -32,7 +32,7 @@ from .families import (
     torus_44,
 )
 from .grouplevel import family_report
-from .mapjson import parse, serialize
+from .mapjson import MapFormatError, parse, serialize
 from .operations import dual, medial, petrie
 from .perms import format_cycles, identity, parse_cycles
 from .symmetry import automorphism_group, stability_report, symmetry_class
@@ -41,7 +41,13 @@ from .verify import run_all
 
 def _read_system(path: str) -> FlagSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MapFormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from exc
+    return parse(text)
 
 
 def _write_output(text: str, out: str | None) -> None:

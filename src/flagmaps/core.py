@@ -462,44 +462,29 @@ def is_isomorphic(a: FlagSystem, b: FlagSystem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Automorphism candidate extension (shared by symmetry and covers)
+# Automorphisms as ties of the labelling kernel (shared by symmetry and covers)
 
 
-def bfs_parents(fs: FlagSystem) -> list[tuple[int, int, int]]:
-    """Spanning structure: (flag, parent, generator) triples in BFS
-    discovery order from flag 0, excluding the root."""
-    seen = [False] * fs.flags
-    seen[0] = True
-    order = [0]
-    out = []
-    for f in order:
-        for i, g in enumerate(fs.gens):
-            t = g[f]
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
-                out.append((t, f, i))
-    return out
+def _reference(fs: FlagSystem) -> tuple[list[int], tuple]:
+    """The breadth-first order from flag 0 and the reference rows it labels,
+    against which ``_tie`` walks other starts."""
+    _, new, order = _labelling(tuple((g, None) for g in fs.gens), 0)
+    return order, tuple((g, [new[g[f]] for f in order]) for g in fs.gens)
 
 
-def extend_from_image(
-    fs: FlagSystem,
-    image_of_zero: int,
-    parents: list[tuple[int, int, int]] | None = None,
-) -> Perm | None:
-    """The unique generator-commuting flag map sending 0 to the given
-    image, or None if no automorphism does."""
-    if parents is None:
-        parents = bfs_parents(fs)
-    gens = fs.gens
-    h = [-1] * fs.flags
-    h[0] = image_of_zero
-    for flag, parent, i in parents:
-        h[flag] = gens[i][h[parent]]
-    for g in gens:
-        for f in range(fs.flags):
-            if h[g[f]] != g[h[f]]:
-                return None
+def _tie(reference: tuple[list[int], tuple], start: int) -> Perm | None:
+    """The automorphism sending flag 0 to ``start``, or None if none does.
+
+    A full tie of the labelling from ``start`` with the reference agrees
+    slot by slot, so order0[k] -> order[k] commutes with every generator.
+    """
+    order0, rows = reference
+    sign, _, order = _labelling(rows, start)
+    if sign:
+        return None
+    h = [0] * len(order0)
+    for x, y in zip(order0, order):
+        h[x] = y
     return tuple(h)
 
 

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (
-    FlagSystem,
-    canonical_form,
-    extend_from_image,
-    two_coloring,
-)
+from .core import FlagSystem, _reference, _tie, canonical_form, two_coloring
 from .errors import FlagmapsError
 from .perms import Perm, compose, identity, orbits
 
@@ -163,7 +158,8 @@ def lift_automorphisms(dc: DoubleCover, aut: Perm) -> tuple[Perm, Perm]:
     """The two cover automorphisms projecting to a base automorphism.
 
     They differ by composition with the deck involution and both
-    commute with it.
+    commute with it.  The first is the tie of the labellings from cover
+    flags 0 and aut[0].
     """
     n = dc.base_flags
     base = FlagSystem(
@@ -172,7 +168,7 @@ def lift_automorphisms(dc: DoubleCover, aut: Perm) -> tuple[Perm, Perm]:
         *(tuple(dc.projection[g[f]] for f in range(n)) for g in dc.cover.gens),
     )
     check_automorphism(base, aut)
-    lift = extend_from_image(dc.cover, aut[0])
+    lift = _tie(_reference(dc.cover), aut[0])
     if lift is None:
         raise NotAnAutomorphismError(aut, -1, -1)
     assert all(dc.projection[lift[f]] == aut[dc.projection[f]] for f in range(2 * n))

@@ -496,7 +496,7 @@ def antipodal_automorphism(fs: FlagSystem) -> Perm:
         if h != ident
         and compose(h, h) == ident
         and all(h[f] != f for f in range(fs.flags))
-        and all(compose(h, g) == compose(g, h) for g in aut.elements)
+        and all(compose(h, g) == compose(g, h) for g in aut.generators)
     ]
     if len(candidates) != 1:
         raise UnsupportedFamilyError(

@@ -2,33 +2,52 @@
 
 An automorphism is a flag permutation commuting with all three
 generators.  On a connected system automorphisms act semiregularly, so
-each is determined by the image of flag 0: the search extends every
-candidate image along a spanning traversal and keeps the consistent
-ones.
+each is fixed by its image of flag 0 (a base of length one: Seress,
+*Permutation Group Algorithms*, 2003, ch. 4).  The search labels the
+system from flag 0 and walks the labelling kernel from every start
+outside the orbit of 0 under the generators found so far; a tie is a new
+generator (McKay & Piperno, "Practical graph isomorphism II", 2014).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .core import FlagSystem, bfs_parents, edge_cells, extend_from_image
-from .covers import DoubleCover, lift_automorphisms, orientable_double_cover
-from .perms import Perm, block_index
-
-# Above this flag count the candidate extension and checking run in numpy.
-_NUMPY_THRESHOLD = 200
+from .core import FlagSystem, _reference, _tie, edge_cells
+from .covers import check_automorphism, lift_automorphisms, orientable_double_cover
+from .perms import Perm, block_index, compose, identity
 
 
 @dataclass(frozen=True)
 class AutGroup:
-    elements: frozenset[Perm]
-    order: int
+    """The automorphisms of a system on ``flags`` flags: the sorted images
+    of flag 0, one element each, and generators, each outside the group
+    of those before it, so at most log2(order) of them.  ``elements``
+    expands the group on first use, in O(order * flags) time and memory.
+    """
 
-    def sorted_elements(self) -> list[Perm]:
-        return sorted(self.elements)
+    flags: int
+    images: tuple[int, ...]
+    generators: tuple[Perm, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.images)
+
+    @cached_property
+    def elements(self) -> frozenset[Perm]:
+        found = {0: identity(self.flags)}
+        queue = [found[0]]
+        for h in queue:
+            for g in self.generators:
+                if g[h[0]] not in found:
+                    p = compose(h, g)
+                    found[p[0]] = p
+                    queue.append(p)
+        return frozenset(found.values())
 
 
 @dataclass(frozen=True)
@@ -47,40 +66,40 @@ class StabilityReport:
     lifted_subgroup_verified: bool
 
 
-def _automorphisms_python(fs: FlagSystem) -> list[Perm]:
-    parents = bfs_parents(fs)
-    out = []
-    for image in range(fs.flags):
-        h = extend_from_image(fs, image, parents)
-        if h is not None:
-            out.append(h)
-    return out
+def _orbit(perms: Sequence[Perm], points: Iterable[int]) -> set[int]:
+    """The union of the orbits of ``points`` under the group ``perms`` generate."""
+    seen = set(points)
+    queue = list(seen)
+    for x in queue:
+        for p in perms:
+            y = p[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
-def _automorphisms_numpy(fs: FlagSystem) -> list[Perm]:
-    # rows are flags, columns are candidate images of flag 0, so the BFS
-    # extension and the commuting check run on contiguous rows
-    n = fs.flags
-    gens = [np.array(g, dtype=np.int32) for g in fs.gens]
-    cand = np.empty((n, n), dtype=np.int32)
-    cand[0] = np.arange(n, dtype=np.int32)
-    for flag, parent, i in bfs_parents(fs):
-        np.take(gens[i], cand[parent], out=cand[flag])
-    ok = np.ones(n, dtype=bool)
-    for g in gens:
-        ok &= (cand[g] == g[cand]).all(axis=0)
-    good = np.ascontiguousarray(cand[:, ok].T)
-    return [tuple(col) for col in good.tolist()]
+def automorphism_group(fs: FlagSystem, *, known: Iterable[Perm] = ()) -> AutGroup:
+    """All flag permutations commuting with the three generators.
 
-
-def automorphism_group(fs: FlagSystem) -> AutGroup:
-    """All flag permutations commuting with the three generators."""
+    ``known`` automorphisms, each checked, seed the generators, so starts
+    in their orbit of flag 0 are not walked; the group found is the same.
+    """
     fs.require_valid()
-    if fs.flags > _NUMPY_THRESHOLD:
-        elems = _automorphisms_numpy(fs)
-    else:
-        elems = _automorphisms_python(fs)
-    return AutGroup(elements=frozenset(elems), order=len(elems))
+    reference = _reference(fs)
+    generators: list[Perm] = []
+    orbit = {0}
+    for h in known:
+        check_automorphism(fs, h)
+        if h[0] not in orbit:
+            generators.append(h)
+            orbit = _orbit(generators, orbit)
+    for start in range(1, fs.flags):
+        h = None if start in orbit else _tie(reference, start)
+        if h is not None:
+            generators.append(h)
+            orbit = _orbit(generators, orbit)
+    return AutGroup(fs.flags, tuple(sorted(orbit)), tuple(generators))
 
 
 def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass:
@@ -95,25 +114,12 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
     regular = aut.order == fs.flags
     eblocks = edge_cells(fs)
     cell_of = block_index(eblocks, fs.flags)
-    rep = eblocks[0][0]
-    reached = {cell_of[h[rep]] for h in aut.elements}
+    reached = {cell_of[f] for f in _orbit(aut.generators, [eblocks[0][0]])}
     edge_transitive = len(reached) == len(eblocks)
     return SymmetryClass(
         regular=regular,
         edge_transitive=edge_transitive,
         edge_regular=edge_transitive and aut.order == len(eblocks),
-    )
-
-
-def _verify_lifted_subgroup(
-    dc: DoubleCover, base_aut: AutGroup, cover_aut: AutGroup
-) -> bool:
-    lifted: set[Perm] = set()
-    for h in base_aut.elements:
-        lifted.update(lift_automorphisms(dc, h))
-    return (
-        len(lifted) == 2 * base_aut.order
-        and lifted <= cover_aut.elements
     )
 
 
@@ -124,17 +130,22 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     cover subgroup of order 2 * |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
     |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
-    base group already computed.
+    base group already computed.  The lifts of its generators and the
+    deck seed the cover search; their orbit of cover flag 0 must have
+    2 * |Aut base| flags, all among the cover's images of flag 0.
     """
     dc = orientable_double_cover(fs)
     if aut is None:
         aut = automorphism_group(fs)
-    cover_aut = automorphism_group(dc.cover)
+    lifted = [lift_automorphisms(dc, h)[0] for h in aut.generators] + [dc.deck]
+    cover_aut = automorphism_group(dc.cover, known=lifted)
+    lifted_orbit = _orbit(lifted, [0])
     index = Fraction(cover_aut.order, 2 * aut.order)
     return StabilityReport(
         base_aut_order=aut.order,
         cover_aut_order=cover_aut.order,
         instability_index=index,
         stable=index == 1,
-        lifted_subgroup_verified=_verify_lifted_subgroup(dc, aut, cover_aut),
+        lifted_subgroup_verified=len(lifted_orbit) == 2 * aut.order
+        and lifted_orbit <= set(cover_aut.images),
     )

@@ -158,6 +158,16 @@ def test_cli_missing_file_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_non_utf8_file_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x89\xff\xfe\x00\xc3\x28")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_cli_census_max_flags_must_be_positive(capsys):
     for bad in ("0", "-3", "x"):
         with pytest.raises(SystemExit) as exc:

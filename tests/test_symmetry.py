@@ -1,21 +1,31 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from flagmaps.covers import AlreadyOrientableClosedError, quotient_by
+from flagmaps.covers import (
+    AlreadyOrientableClosedError,
+    NotAnAutomorphismError,
+    orientable_double_cover,
+    quotient_by,
+)
 from flagmaps.families import (
     glide_automorphism,
     hosohedron,
+    icosahedron,
     nn2_map,
     nn2_quotient_automorphism,
     reflection_automorphism,
     semi_star,
+    symmetric_map,
     torus_44,
 )
+from flagmaps.core import surface_invariants
 from flagmaps.perms import compose, identity
 from flagmaps.symmetry import (
-    _automorphisms_numpy,
-    _automorphisms_python,
     automorphism_group,
     stability_report,
     symmetry_class,
@@ -48,9 +58,71 @@ def test_elements_commute_and_act_semiregularly():
                 assert all(h[f] != f for f in range(fs.flags))
 
 
-def test_python_and_numpy_paths_agree():
-    for fs in (hosohedron(5), torus_44("diag", 1)):
-        assert sorted(_automorphisms_python(fs)) == sorted(_automorphisms_numpy(fs))
+def _brute_force_automorphisms(fs):
+    """Every image of flag 0, extended along a spanning walk and kept only
+    if the extension commutes with every generator at every flag."""
+    walk, tree, seen = [0], [], {0}
+    for f in walk:
+        for g in fs.gens:
+            if g[f] not in seen:
+                seen.add(g[f])
+                walk.append(g[f])
+                tree.append((g[f], f, g))
+    out = set()
+    for image in range(fs.flags):
+        h = [None] * fs.flags
+        h[0] = image
+        for flag, parent, g in tree:
+            h[flag] = g[h[parent]]
+        if all(h[g[f]] == g[h[f]] for g in fs.gens for f in range(fs.flags)):
+            out.add(tuple(h))
+    return out
+
+
+def _assert_matches_brute_force(fs):
+    brute = _brute_force_automorphisms(fs)
+    aut = automorphism_group(fs)
+    assert aut.order == len(brute)
+    assert set(aut.images) == {h[0] for h in brute}
+    assert len(aut.generators) <= math.log2(aut.order)
+    assert aut.elements == brute
+    return brute
+
+
+def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7):
+    systems = [rec.fs for rec in map_census_8]
+    systems += [rec.fs for rec in hypermap_census_7 if rec.fs.flags <= 6]
+    systems += [icosahedron(), torus_44("diag", 2), symmetric_map(5).fs, hosohedron(12)]
+    covers = 0
+    for fs in systems:
+        brute = _assert_matches_brute_force(fs)
+        if surface_invariants(fs).orientable_no_boundary:
+            continue
+        cover = orientable_double_cover(fs).cover
+        cover_brute = _assert_matches_brute_force(cover)
+        rep = stability_report(fs)
+        assert (rep.base_aut_order, rep.cover_aut_order) == (len(brute), len(cover_brute))
+        assert rep.lifted_subgroup_verified
+        covers += 1
+    assert covers > 100
+
+
+def test_known_automorphisms_seed_the_search_and_are_checked():
+    k = torus_44("diag", 1)
+    glide = glide_automorphism(k)
+    seeded = automorphism_group(k, known=[glide, glide])
+    assert seeded.generators[0] == glide
+    assert len(seeded.generators) <= math.log2(seeded.order)
+    assert seeded.elements == automorphism_group(k).elements
+    with pytest.raises(NotAnAutomorphismError):
+        automorphism_group(k, known=[k.g0])
+
+
+def test_importing_flagmaps_does_not_import_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import flagmaps, flagmaps.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_symmetry_class_examples():
