@@ -23,8 +23,8 @@ from flagmaps.families import (
     symmetric_map,
     torus_44,
 )
-from flagmaps.core import surface_invariants
-from flagmaps.perms import compose, identity
+from flagmaps.core import edge_cells, surface_invariants
+from flagmaps.perms import block_index, compose, identity
 from flagmaps.symmetry import (
     automorphism_group,
     stability_report,
@@ -86,6 +86,10 @@ def _assert_matches_brute_force(fs):
     assert set(aut.images) == {h[0] for h in brute}
     assert len(aut.generators) <= math.log2(aut.order)
     assert aut.elements == brute
+    eblocks = edge_cells(fs)
+    cell_of = block_index(eblocks, fs.flags)
+    reached = {cell_of[h[eblocks[0][0]]] for h in brute}
+    assert symmetry_class(fs, aut).edge_transitive == (len(reached) == len(eblocks))
     return brute
 
 
