@@ -11,13 +11,13 @@ generator (McKay & Piperno, "Practical graph isomorphism II", 2014).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import FlagSystem, _reference, _tie, edge_cells
-from .covers import check_automorphism, lift_automorphisms, orientable_double_cover
+from .covers import lift_automorphisms, orientable_double_cover
 from .perms import Perm, block_index, compose, identity
 
 
@@ -27,11 +27,13 @@ class AutGroup:
     of flag 0, one element each, and generators, each outside the group
     of those before it, so at most log2(order) of them.  ``elements``
     expands the group on first use, in O(order * flags) time and memory.
+    Equality and hashing follow ``(flags, images)``, which fix the group;
+    the generators depend on the search order.
     """
 
     flags: int
     images: tuple[int, ...]
-    generators: tuple[Perm, ...]
+    generators: tuple[Perm, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -79,21 +81,12 @@ def _orbit(perms: Sequence[Perm], points: Iterable[int]) -> set[int]:
     return seen
 
 
-def automorphism_group(fs: FlagSystem, *, known: Iterable[Perm] = ()) -> AutGroup:
-    """All flag permutations commuting with the three generators.
-
-    ``known`` automorphisms, each checked, seed the generators, so starts
-    in their orbit of flag 0 are not walked; the group found is the same.
-    """
+def automorphism_group(fs: FlagSystem) -> AutGroup:
+    """All flag permutations commuting with the three generators."""
     fs.require_valid()
     reference = _reference(fs)
     generators: list[Perm] = []
     orbit = {0}
-    for h in known:
-        check_automorphism(fs, h)
-        if h[0] not in orbit:
-            generators.append(h)
-            orbit = _orbit(generators, orbit)
     for start in range(1, fs.flags):
         h = None if start in orbit else _tie(reference, start)
         if h is not None:
@@ -130,15 +123,15 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     cover subgroup of order 2 * |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
     |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
-    base group already computed.  The lifts of its generators and the
-    deck seed the cover search; their orbit of cover flag 0 must have
-    2 * |Aut base| flags, all among the cover's images of flag 0.
+    base group already computed.  The orbit of cover flag 0 under the
+    lifts of its generators and the deck must have 2 * |Aut base| flags,
+    all among the images found by the independent cover search.
     """
     dc = orientable_double_cover(fs)
     if aut is None:
         aut = automorphism_group(fs)
     lifted = [lift_automorphisms(dc, h)[0] for h in aut.generators] + [dc.deck]
-    cover_aut = automorphism_group(dc.cover, known=lifted)
+    cover_aut = automorphism_group(dc.cover)
     lifted_orbit = _orbit(lifted, [0])
     index = Fraction(cover_aut.order, 2 * aut.order)
     return StabilityReport(
