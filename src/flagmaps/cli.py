@@ -18,7 +18,7 @@ from .core import (
     export_diagram,
     surface_invariants,
 )
-from .covers import orientable_double_cover, quotient_by
+from .covers import check_automorphism, orientable_double_cover, quotient_by
 from .errors import FlagmapsError
 from .families import (
     glide_automorphism,
@@ -34,7 +34,7 @@ from .families import (
 from .grouplevel import family_report
 from .mapjson import MapFormatError, parse, serialize
 from .operations import dual, medial, petrie
-from .perms import format_cycles, identity, parse_cycles
+from .perms import format_cycles, generate_closure, parse_cycles
 from .symmetry import automorphism_group, stability_report, symmetry_class
 from .verify import run_all
 
@@ -178,17 +178,10 @@ def _quotient(args: argparse.Namespace) -> int:
         aut = glide_automorphism(fs)
     else:
         raise FlagmapsError("supply --auto CYCLES, --reflection or --glide")
-    subgroup = {identity(fs.flags)}
-    frontier = [identity(fs.flags)]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            prod = tuple(aut[x] for x in h)
-            if prod not in subgroup:
-                subgroup.add(prod)
-                nxt.append(prod)
-        frontier = nxt
-    _write_output(serialize(quotient_by(fs, subgroup)), args.out)
+    # an automorphism of a connected system is semiregular, so once it is
+    # checked its cyclic group has at most fs.flags elements
+    check_automorphism(fs, aut)
+    _write_output(serialize(quotient_by(fs, generate_closure([aut]))), args.out)
     return 0
 
 

@@ -230,32 +230,23 @@ def _cell_sizes(fs: FlagSystem, blocks: list[tuple[int, ...]],
     return sizes
 
 
-def euler_characteristic(fs: FlagSystem) -> int:
-    """Euler characteristic as the cell count of the flag triangulation:
-    (V+E+F) - (#orbits<g0> + #orbits<g1> + #orbits<g2>) + #flags.
-
-    Unlike the naive V - E + F this handles semi-edges and boundary
-    degeneracies uniformly.
-    """
-    fs.require_valid()
-    v = len(cells(fs, 1, 2))
-    e = len(cells(fs, 0, 2))
-    f = len(cells(fs, 0, 1))
-    single_orbits = sum(len(orbits([g], fs.flags)) for g in fs.gens)
-    return (v + e + f) - single_orbits + fs.flags
-
-
 def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
-    """Cell counts, Euler characteristic, orientability, boundary and type."""
+    """Cell counts, Euler characteristic, orientability, boundary and type.
+
+    chi is the cell count of the flag triangulation,
+    (V+E+F) - (#orbits<g0> + #orbits<g1> + #orbits<g2>) + #flags, which
+    unlike the naive V - E + F handles semi-edges and boundary
+    degeneracies uniformly.  An involution with k fixed flags has
+    (flags + k)/2 orbits, so chi = V+E+F - (flags + fixed flags)/2.
+    """
     fs.require_valid()
     vblocks = vertex_cells(fs)
     eblocks = edge_cells(fs)
     fblocks = face_cells(fs)
     v, e, f = len(vblocks), len(eblocks), len(fblocks)
-    single_orbits = sum(len(orbits([g], fs.flags)) for g in fs.gens)
-    chi = (v + e + f) - single_orbits + fs.flags
-
     fixed = fixed_flag_counts(fs)
+    chi = (v + e + f) - (fs.flags + sum(fixed)) // 2
+
     has_boundary = any(fixed)
     orientable = two_coloring(fs, fixed_break=False) is not None
     orientable_closed = orientable and not has_boundary

@@ -10,6 +10,9 @@ Encodings:
   with darts +x,+y,-x,-y indexed 0..3 and side 0=L (counterclockwise).
 * GroupMap: flags are the elements of a permutation group, generators
   act by right multiplication, automorphisms by left multiplication.
+  It is the one place where the group of an involution triple is
+  expanded; ``grouplevel.explicit_model`` analyses a GroupMap, and
+  ``check_involution_triple`` is the precondition both levels share.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ class UnsupportedFamilyError(FlagmapsError):
 
 
 class NotInvolutionError(FlagmapsError):
-    pass
-
-
-class NotGeneratingError(FlagmapsError):
     pass
 
 
@@ -220,6 +219,16 @@ def glide_automorphism(fs: FlagSystem) -> Perm:
 # Regular systems built on groups
 
 
+def check_involution_triple(r0: Perm, r1: Perm, r2: Perm, kind: str) -> None:
+    """Reject identity and non-involution generators and, for maps, a
+    triple whose r0 and r2 do not commute ((r0*r2)^2 != 1)."""
+    for i, r in enumerate((r0, r1, r2)):
+        if not is_involution(r) or r == identity(len(r)):
+            raise NotInvolutionError(f"r{i} must be a non-identity involution")
+    if kind == MAP and not is_involution(compose(r0, r2)):
+        raise NotInvolutionError("map generators need (r0*r2)^2 = 1")
+
+
 class GroupMap:
     """Regular map/hypermap whose flags are the elements of a group.
 
@@ -236,9 +245,7 @@ class GroupMap:
         kind: str = MAP,
         cap: int = CLOSURE_CAP,
     ):
-        for i, r in enumerate((r0, r1, r2)):
-            if not is_involution(r) or r == identity(len(r)):
-                raise NotInvolutionError(f"r{i} must be a non-identity involution")
+        check_involution_triple(r0, r1, r2, kind)
         self.generators = (r0, r1, r2)
         elements = sorted(generate_closure([r0, r1, r2], cap))
         self.elements: tuple[Perm, ...] = tuple(elements)
@@ -253,9 +260,12 @@ class GroupMap:
     def order(self) -> int:
         return len(self.elements)
 
+    def __contains__(self, a: object) -> bool:
+        return a in self._index
+
     def automorphism(self, a: Perm) -> Perm:
         """Left multiplication by a group element, as a flag permutation."""
-        if a not in self._index:
+        if a not in self:
             raise NotInGroupError("element is not in the generated group")
         return tuple(self._index[compose(a, e)] for e in self.elements)
 
@@ -263,30 +273,9 @@ class GroupMap:
         out = factors[0]
         for f in factors[1:]:
             out = compose(out, f)
-        if out not in self._index:
+        if out not in self:
             raise NotInGroupError("product left the group (degree mismatch?)")
         return out
-
-
-def regular_map_from_group(
-    r0: Perm,
-    r1: Perm,
-    r2: Perm,
-    kind: str = MAP,
-    elements: Sequence[Perm] | None = None,
-    cap: int = CLOSURE_CAP,
-) -> FlagSystem:
-    """Regular system on the group generated by three involutions.
-
-    When ``elements`` is given, the generated group must equal it
-    exactly (NotGeneratingError otherwise).
-    """
-    gm = GroupMap(r0, r1, r2, kind=kind, cap=cap)
-    if elements is not None and set(gm.elements) != {tuple(e) for e in elements}:
-        raise NotGeneratingError(
-            "the three involutions do not generate the given group"
-        )
-    return gm.fs
 
 
 def nn2_map(m: int) -> GroupMap:

@@ -2,26 +2,35 @@
 
 For a regular map the flags are group elements, so cell counts and
 quotient data reduce to subgroup orders, centralizers and conjugacy.
-That keeps the symmetric-group families tractable where n! flags are
-far beyond explicit expansion: everything here is exact integer
-arithmetic.
+A GroupModel holds the involution triple and either all of S_n, handled
+symbolically, which keeps the symmetric-group families tractable where
+n! flags are far beyond explicit expansion, or the explicit group as a
+``families.GroupMap``, which is the only place a group is expanded.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import HYPERMAP, MAP
+from .core import HYPERMAP, MAP, two_coloring
 from .errors import FlagmapsError
-from .families import BadFamilyParameterError, support_involution, symmetric_generators
+from .families import (
+    BadFamilyParameterError,
+    GroupMap,
+    NotInGroupError,
+    NotInvolutionError,
+    check_involution_triple,
+    support_involution,
+    symmetric_generators,
+)
 from .perms import (
     CycleType,
     Perm,
     compose,
     cycle_type,
     cycles,
-    generate_closure,
     identity,
     inverse,
     is_involution,
@@ -29,17 +38,6 @@ from .perms import (
     perm_order,
     sym_centralizer_order,
 )
-
-FULL_SYMMETRIC = "full_symmetric"
-EXPLICIT = "explicit"
-
-
-class NotInGroupError(FlagmapsError):
-    pass
-
-
-class NotInvolutionError(FlagmapsError):
-    pass
 
 
 class DegenerateSubgroupError(FlagmapsError):
@@ -55,16 +53,17 @@ class NotOrientableCoverError(FlagmapsError):
 class GroupModel:
     """A regular map/hypermap given by its generator triple.
 
-    ``carrier`` is either ("full_symmetric", n) with membership and
-    centralizers handled symbolically, or ("explicit", elements) with
-    the group expanded.
+    ``group`` is None when the triple generates all of S_n (n = len(r0)),
+    with membership and centralizers handled symbolically; otherwise it
+    is the explicitly expanded group, as the GroupMap of the triple.
+    The triple fixes the group, so equality follows the triple alone.
     """
 
-    carrier: tuple[str, object]
     r0: Perm
     r1: Perm
     r2: Perm
     kind: str
+    group: GroupMap | None = field(compare=False)
 
     @property
     def generators(self) -> tuple[Perm, Perm, Perm]:
@@ -72,18 +71,9 @@ class GroupModel:
 
     @property
     def order(self) -> int:
-        tag, payload = self.carrier
-        if tag == FULL_SYMMETRIC:
-            return math.factorial(payload)
-        return len(payload)  # type: ignore[arg-type]
-
-
-def _check_generators(r0: Perm, r1: Perm, r2: Perm, kind: str) -> None:
-    for i, r in enumerate((r0, r1, r2)):
-        if not is_involution(r) or r == identity(len(r)):
-            raise NotInvolutionError(f"r{i} must be a non-identity involution")
-    if kind == MAP and not is_involution(compose(r0, r2)):
-        raise FlagmapsError("map generators need (r0*r2)^2 = 1")
+        if self.group is None:
+            return math.factorial(len(self.r0))
+        return self.group.order
 
 
 def _generates_full_symmetric(r0: Perm, r1: Perm, r2: Perm) -> bool:
@@ -108,18 +98,15 @@ def symmetric_model(n: int, hypermap: bool = False) -> GroupModel:
     """Group model on all of S_n from the standard involution triple."""
     r0, r1, r2 = symmetric_generators(n, hypermap)
     kind = HYPERMAP if hypermap else MAP
-    _check_generators(r0, r1, r2, kind)
+    check_involution_triple(r0, r1, r2, kind)
     if not _generates_full_symmetric(r0, r1, r2):
         raise FlagmapsError(f"triple does not generate S_{n}")
-    return GroupModel((FULL_SYMMETRIC, n), r0, r1, r2, kind)
+    return GroupModel(r0, r1, r2, kind, None)
 
 
-def explicit_model(r0: Perm, r1: Perm, r2: Perm, kind: str = MAP,
-                   cap: int = 1_000_000) -> GroupModel:
-    """Group model with the generated group expanded element by element."""
-    _check_generators(r0, r1, r2, kind)
-    elements = frozenset(generate_closure([r0, r1, r2], cap))
-    return GroupModel((EXPLICIT, elements), r0, r1, r2, kind)
+def explicit_model(r0: Perm, r1: Perm, r2: Perm, kind: str = MAP) -> GroupModel:
+    """Group model with the generated group expanded as a GroupMap."""
+    return GroupModel(r0, r1, r2, kind, GroupMap(r0, r1, r2, kind))
 
 
 @dataclass(frozen=True)
@@ -190,12 +177,6 @@ def _is_odd_generator_model(gm: GroupModel) -> bool:
     return all(parity(r) == 1 for r in gm.generators)
 
 
-def _even_word_subgroup(gm: GroupModel) -> frozenset[Perm]:
-    pairs = [compose(a, b) for a in gm.generators for b in gm.generators]
-    return frozenset(generate_closure(pairs, cap=gm.order + 1,
-                                      degree=len(gm.r0)))
-
-
 def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
     """Boundary, orientability, automorphism order and stability of the
     quotient of the regular system by a non-identity involution a in G.
@@ -206,16 +187,16 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
     central.
     """
     a = tuple(a)
-    tag, payload = gm.carrier
+    group = gm.group
     if len(a) != len(gm.r0):
         raise NotInGroupError("degree mismatch")
-    if tag == EXPLICIT and a not in payload:  # type: ignore[operator]
+    if group is not None and a not in group:
         raise NotInGroupError("a is not an element of the group")
     if not is_involution(a) or a == identity(len(a)):
         raise NotInvolutionError("a must be a non-identity involution")
 
     ct = cycle_type(a)
-    if tag == FULL_SYMMETRIC:
+    if group is None:
         boundary = any(ct == cycle_type(r) for r in gm.generators)
         if not _is_odd_generator_model(gm):
             raise NotOrientableCoverError(
@@ -223,20 +204,21 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
             )
         reversing = parity(a) == 1
         centralizer = sym_centralizer_order(ct)
-        central = payload <= 2  # type: ignore[operator]
+        central = len(a) <= 2
     else:
-        elements = payload  # type: ignore[assignment]
         boundary = any(
             compose(inverse(g), r, g) == a
             for r in gm.generators
-            for g in elements
+            for g in group.elements
         )
-        even = _even_word_subgroup(gm)
-        if len(even) == len(elements):
+        # flag 0 is the identity and automorphism(a)[0] the flag of a;
+        # the even words are the colour class of the identity
+        color = two_coloring(group.fs, fixed_break=True)
+        if color is None:
             raise NotOrientableCoverError("regular system is not orientable")
-        reversing = a not in even
-        centralizer = sum(1 for g in elements if compose(a, g) == compose(g, a))
-        central = centralizer == len(elements)
+        reversing = color[group.automorphism(a)[0]] != color[0]
+        centralizer = sum(1 for g in group.elements if compose(a, g) == compose(g, a))
+        central = centralizer == group.order
 
     cells_ = regular_cells(gm)
     quotient_chi = cells_.chi // 2

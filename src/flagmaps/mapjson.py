@@ -36,7 +36,9 @@ def parse(text: str) -> FlagSystem:
     (the latter embeds the violation report)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers with too many
+        # digits; RecursionError, arrays or objects nested too deep
         raise MapFormatError(f"malformed-json: {exc}") from exc
     if not isinstance(payload, dict):
         raise MapFormatError("top level must be an object")

@@ -11,7 +11,7 @@ from flagmaps.core import (
     MAP,
     canonical_form,
     encode,
-    euler_characteristic,
+    surface_invariants,
     validate,
 )
 from flagmaps.covers import orientable_double_cover
@@ -100,7 +100,7 @@ def test_cover_chi_doubles(map_census_8):
         if rec.stable is None:
             continue
         cover = orientable_double_cover(rec.fs).cover
-        assert euler_characteristic(cover) == 2 * rec.invariants.chi
+        assert surface_invariants(cover).chi == 2 * rec.invariants.chi
 
 
 def test_csv_format(map_census_8):

@@ -1,9 +1,13 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagmaps.cli import main
-from flagmaps.core import surface_invariants
+from flagmaps.core import FlagSystem, surface_invariants
+from flagmaps.errors import FlagmapsError
 from flagmaps.families import hosohedron, k6_projective, torus_44
 from flagmaps.mapjson import MapFormatError, parse, serialize
 from flagmaps.core import InvalidFlagSystemError
@@ -40,6 +44,53 @@ def test_parse_rejects_json_booleans():
         parse('{"kind":"hypermap","flags":1,"r0":[false],"r1":[0],"r2":[0]}')
     with pytest.raises(MapFormatError):
         parse('{"kind":"map","flags":2,"r0":[1,0],"r1":[true,0],"r2":[1,0]}')
+
+
+def test_parse_rejects_deep_nesting_and_huge_integers(tmp_path, capsys):
+    for text in ("[" * 200_000, '{"kind":"map","flags":' + "9" * 5001 + "}"):
+        with pytest.raises(MapFormatError):
+            parse(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_NEAR_MAP = st.fixed_dictionaries({
+    "kind": st.sampled_from(["map", "hypermap", "torus"]),
+    "flags": st.integers(-1, 6),
+    "r0": st.lists(st.integers(-1, 6), max_size=6),
+    "r1": st.lists(st.integers(-1, 6), max_size=6),
+    "r2": st.lists(st.integers(-1, 6), max_size=6),
+})
+_PAYLOADS = st.text(max_size=40) | (_JSON | _NEAR_MAP).map(json.dumps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_parse_fuzz_returns_a_system_or_a_domain_error(text):
+    try:
+        assert isinstance(parse(text), FlagSystem)
+    except FlagmapsError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PAYLOADS)
+def test_cli_analyze_fuzz_exits_0_or_1(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["analyze", path]) in (0, 1)
 
 
 def test_parse_invalid_flag_system():
@@ -98,6 +149,28 @@ def test_cli_quotient_by_cycles(tmp_path):
     out = tmp_path / "q.json"
     assert main(["quotient", str(base), "--auto", "(1,2)(3,6)(4,5)", "--out", str(out)]) == 0
     assert parse(out.read_text()).flags == 3
+    # the rotation k -> k+1 of hosohedron(n), flags (v*n + k)*2 + s, 1-based
+    n = 25
+    base = tmp_path / "h.json"
+    base.write_text(serialize(hosohedron(n)))
+    rotation = "".join(
+        "(" + ",".join(str((v * n + k) * 2 + s + 1) for k in range(n)) + ")"
+        for v in range(2)
+        for s in range(2)
+    )
+    assert main(["quotient", str(base), "--auto", rotation, "--out", str(out)]) == 0
+    assert parse(out.read_text()).flags == 4
+
+
+def test_cli_quotient_rejects_a_non_automorphism_before_its_closure(tmp_path, capsys):
+    base = tmp_path / "h3.json"
+    base.write_text(serialize(hosohedron(3)))
+    # cycles of lengths 3, 4 and 5 on the 12 flags: order 60, not an automorphism
+    cycles = "(1,2,3)(4,5,6,7)(8,9,10,11,12)"
+    assert main(["quotient", str(base), "--auto", cycles]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "fails to commute" in err
 
 
 def test_cli_op_and_dot(tmp_path, capsys):

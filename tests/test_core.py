@@ -13,7 +13,6 @@ from flagmaps.core import (
     boundary_components,
     canonical_form,
     encode,
-    euler_characteristic,
     export_diagram,
     is_isomorphic,
     relabel,
@@ -153,7 +152,7 @@ def test_boundary_components_requires_boundary():
 def test_euler_characteristic_matches_naive_on_clean_maps():
     for fs in (tetrahedron(), hosohedron(4), torus_44("rect", 1)):
         inv = surface_invariants(fs)
-        assert euler_characteristic(fs) == inv.vertices - inv.edges + inv.faces
+        assert inv.chi == inv.vertices - inv.edges + inv.faces
 
 
 def test_canonical_form_relabeling_invariance():
@@ -167,7 +166,7 @@ def test_canonical_form_relabeling_invariance():
             shuffled = relabel(fs, tuple(perm))
             assert validate(shuffled) == []
             assert canonical_form(shuffled) == code
-            assert euler_characteristic(shuffled) == chi
+            assert surface_invariants(shuffled).chi == chi
 
 
 def test_canonical_form_distinguishes_dual():

@@ -5,7 +5,6 @@ from flagmaps.covers import orientation_action, quotient_by
 from flagmaps.families import (
     BadFamilyParameterError,
     GroupMap,
-    NotGeneratingError,
     NotInGroupError,
     NotInvolutionError,
     UnsupportedFamilyError,
@@ -16,7 +15,6 @@ from flagmaps.families import (
     nn2_quotient_automorphism,
     octahedron,
     reflection_automorphism,
-    regular_map_from_group,
     semi_star,
     support_involution,
     symmetric_generators,
@@ -125,14 +123,14 @@ def test_glide_rejects_other_maps():
         glide_automorphism(hosohedron(16))  # 64 flags but not a torus
 
 
-def test_regular_map_from_group_icosahedral(icosa):
-    fs = regular_map_from_group(*icosa.gens)
+def test_group_map_icosahedral(icosa):
+    fs = GroupMap(*icosa.gens).fs
     assert fs.flags == 120
     assert is_isomorphic(fs, icosa)
     assert symmetry_class(fs).regular
 
 
-def test_regular_map_from_group_errors():
+def test_group_map_errors():
     r0 = parse_cycles("(1,2)", 5)
     rho = parse_cycles("(1,2,3,4,5)", 5)
     with pytest.raises(NotInvolutionError):
@@ -141,8 +139,6 @@ def test_regular_map_from_group_errors():
         GroupMap(identity(5), r0, r0)
     r1 = parse_cycles("(2,5)(3,4)", 5)
     r2 = parse_cycles("(1,2)(3,5)", 5)
-    with pytest.raises(NotGeneratingError):
-        regular_map_from_group(r0, r1, r2, elements=[identity(5), r0])
     with pytest.raises(ClosureOverflowError):
         GroupMap(r0, r1, r2, cap=10)
 

@@ -1,12 +1,20 @@
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 
 import pytest
 
-from flagmaps.core import MAP, surface_invariants
-from flagmaps.covers import quotient_by
+import flagmaps
+from flagmaps import grouplevel
+from flagmaps.core import HYPERMAP, MAP, surface_invariants
+from flagmaps.covers import orientation_action, quotient_by
+from flagmaps.errors import FlagmapsError
 from flagmaps.families import (
     BadFamilyParameterError,
+    GroupMap,
+    icosahedron,
     nn2_map,
     support_involution,
     symmetric_map,
@@ -20,8 +28,8 @@ from flagmaps.grouplevel import (
     regular_cells,
     symmetric_model,
 )
-from flagmaps.perms import compose, identity, parse_cycles
-from flagmaps.symmetry import automorphism_group
+from flagmaps.perms import compose, identity, is_involution, parse_cycles
+from flagmaps.symmetry import automorphism_group, stability_report
 
 
 def test_symmetric_model_generates():
@@ -93,6 +101,68 @@ def test_explicit_model_central_involution_is_stable():
     qa = quotient_analysis(model, xm)
     assert qa.stable
     assert not qa.orientation_reversing
+
+
+def test_explicit_model_agrees_with_the_flag_level_quotient():
+    # every orientation-reversing involution a of {n,n}_2 (m = 1..4) and of
+    # the icosahedral group: quotient_analysis against the flag-level
+    # quotient by left multiplication with a
+    cases = 0
+    for gm in [nn2_map(m) for m in range(1, 5)] + [GroupMap(*icosahedron().gens)]:
+        model = explicit_model(*gm.generators, kind=gm.fs.kind)
+        ident = identity(len(gm.generators[0]))
+        for a in gm.elements:
+            if a == ident or not is_involution(a):
+                continue
+            h = gm.automorphism(a)
+            if orientation_action(gm.fs, h) != "reversing":
+                continue
+            q = quotient_by(gm.fs, [identity(gm.fs.flags), h])
+            qa = quotient_analysis(model, a)
+            assert qa.orientation_reversing
+            assert qa.aut_order == automorphism_group(q).order
+            assert qa.boundary == surface_invariants(q).has_boundary
+            assert qa.stable == stability_report(q).stable
+            cases += 1
+    assert cases == 56
+
+
+def test_bad_triples_raise_the_same_error_at_both_levels(monkeypatch):
+    t, rho = parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)
+    r1, r2 = parse_cycles("(2,5)(3,4)", 5), parse_cycles("(1,2)(3,5)", 5)
+    crossing = parse_cycles("(2,3)", 5)  # does not commute with (1,2)
+    bad = [
+        ((t, rho, t), MAP),
+        ((t, rho, t), HYPERMAP),
+        ((identity(5), r1, r2), MAP),
+        ((t, r1, identity(5)), HYPERMAP),
+        ((crossing, r1, t), MAP),
+    ]
+    for triple, kind in bad:
+        monkeypatch.setattr(grouplevel, "symmetric_generators", lambda n, h: triple)
+        builders = (
+            lambda: GroupMap(*triple, kind),
+            lambda: explicit_model(*triple, kind=kind),
+            lambda: symmetric_model(5, hypermap=kind == HYPERMAP),
+        )
+        for build in builders:
+            with pytest.raises(FlagmapsError) as err:
+                build()
+            assert type(err.value) is NotInvolutionError
+    # the map relation is not required of hypermaps
+    assert GroupMap(crossing, r1, t, HYPERMAP).order == 120
+
+
+def test_each_error_class_is_defined_once():
+    defined: dict[str, set[str]] = {}
+    for info in pkgutil.iter_modules(flagmaps.__path__):
+        module = importlib.import_module(f"flagmaps.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, FlagmapsError):
+                defined.setdefault(name, set()).add(obj.__module__)
+    assert defined["NotInvolutionError"] == {"flagmaps.families"}
+    assert defined["NotInGroupError"] == {"flagmaps.families"}
+    assert all(len(modules) == 1 for modules in defined.values()), defined
 
 
 def test_family_report_n11():
