@@ -4,8 +4,8 @@ The search fills the three involution image tables slot by slot in
 (flag, generator) order, allocating new flag labels at first encounter.
 Completed tables are therefore exactly the breadth-first relabelings of
 connected systems, so a class is emitted precisely when a table equals
-its own canonical form.  Transitivity is built in; the map relation is
-forward-checked during the search.
+its own canonical form; the search keeps only those tables.  Transitivity
+is built in; the map relation is forward-checked during the search.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .core import MAP, FlagSystem, SurfaceInvariants, _labelling, encode, surface_invariants
@@ -21,7 +20,12 @@ from .symmetry import automorphism_group, stability_report, symmetry_class
 
 
 def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All BFS-labelled transitive involution triples on exactly n flags."""
+    """The self-canonical BFS-labelled transitive involution triples on
+    exactly n flags, one per isomorphism class, in increasing ``encode``
+    order.  Slots are filled in the encoding's (flag, generator) order,
+    and at slot (f, i) every flag below f is already paired, so the
+    candidates (f itself, the open flags above it, the fresh flag) come
+    in increasing order."""
     g = [[-1] * n, [-1] * n, [-1] * n]
     g0, g2 = g[0], g[2]
     used = 1
@@ -51,7 +55,7 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
                 break
             k += 1
         else:
-            if used == n:
+            if used == n and _self_canonical(g, n):
                 out.append((tuple(g[0]), tuple(g[1]), tuple(g[2])))
             return
         f, i = divmod(k, 3)
@@ -86,7 +90,7 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
     yield from out
 
 
-def _self_canonical(tables: tuple[tuple[int, ...], ...], n: int) -> bool:
+def _self_canonical(tables: list[list[int]], n: int) -> bool:
     """Is the BFS-labelled table its own least relabeling: no start below it?"""
     rows = tuple(zip(tables, tables))
     for start in range(1, n):
@@ -101,13 +105,8 @@ def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSyst
     if max_flags < 1:
         raise ValueError("max_flags must be >= 1")
     for n in range(1, max_flags + 1):
-        systems = [
-            FlagSystem(kind, n, *tables)
-            for tables in _enumerate_tables(n, kind == MAP)
-            if _self_canonical(tables, n)
-        ]
-        systems.sort(key=encode)
-        yield from systems
+        for tables in _enumerate_tables(n, kind == MAP):
+            yield FlagSystem(kind, n, *tables)
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,9 @@ class CensusRecord:
     edge_transitive: bool
     edge_regular: bool
     stable: bool | None
-    instability_index: Fraction | None
+    instability_index: int | None
     cover_aut_order: int | None
+    lifted_subgroup_verified: bool | None
     canonical: bytes
 
 
@@ -135,12 +135,13 @@ def stability_census(max_flags: int, kind: str = MAP) -> list[CensusRecord]:
         inv = surface_invariants(fs)
         aut = automorphism_group(fs)
         sym = symmetry_class(fs, aut)
-        stable = index = cover_order = None
+        stable = index = cover_order = lifted = None
         if not inv.orientable_no_boundary:
             rep = stability_report(fs, aut)
             stable = rep.stable
             index = rep.instability_index
             cover_order = rep.cover_aut_order
+            lifted = rep.lifted_subgroup_verified
         records.append(
             CensusRecord(
                 fs=fs,
@@ -152,6 +153,7 @@ def stability_census(max_flags: int, kind: str = MAP) -> list[CensusRecord]:
                 stable=stable,
                 instability_index=index,
                 cover_aut_order=cover_order,
+                lifted_subgroup_verified=lifted,
                 canonical=encode(fs),
             )
         )
@@ -179,11 +181,7 @@ def census_csv(records: list[CensusRecord]) -> str:
             r.aut_order, int(r.regular), int(r.edge_transitive),
             int(r.edge_regular),
             "" if r.stable is None else int(r.stable),
-            "" if r.instability_index is None else str(
-                int(r.instability_index)
-                if r.instability_index.denominator == 1
-                else r.instability_index
-            ),
+            "" if r.instability_index is None else r.instability_index,
             r.canonical.hex(),
         ])
     return buf.getvalue()

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .census import census_csv, census_summary, stability_census
 from .core import (
@@ -80,10 +79,6 @@ def _build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(int(x)) if x.denominator == 1 else str(x)
-
-
 def analysis_summary(fs: FlagSystem) -> dict:
     """Invariants, symmetry class, and the stability report when defined."""
     inv = surface_invariants(fs)
@@ -111,7 +106,7 @@ def analysis_summary(fs: FlagSystem) -> dict:
         rep = stability_report(fs, aut)
         summary.update(
             coverAut=rep.cover_aut_order,
-            index=_fraction_str(rep.instability_index),
+            index=str(rep.instability_index),
             stable=rep.stable,
         )
     else:

@@ -5,6 +5,10 @@ set.  Vertices, edges and faces are the orbits of the dihedral pairs
 <g1,g2>, <g0,g2> and <g0,g1>; a flag fixed by some generator lies on the
 boundary of the underlying surface.  Maps additionally satisfy
 (g0*g2)^2 = 1; hypermaps drop that relation.
+
+Each dihedral orbit is a cycle or a path of alternating steps, so one
+walk per pair (``_pair_walk``) gives the cells, their corners and the
+fixed ends from which the boundary circuits are linked.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FlagmapsError
-from .perms import Perm, is_involution, is_perm, orbits
+from .perms import Perm, is_involution, is_perm, orbit_of, orbits
 
 MAP = "map"
 HYPERMAP = "hypermap"
@@ -98,9 +102,8 @@ def validate(fs: FlagSystem) -> list[Violation]:
             witness = next(f for f in range(fs.flags) if g[g[f]] != f)
             out.append(Violation("non-involution", generator=i, flag=witness))
     if len(usable) == 3 and not out:
-        blocks = orbits(usable, fs.flags)
-        if len(blocks) > 1:
-            sizes = tuple(sorted(len(b) for b in blocks))
+        if fs.flags and len(orbit_of(usable, [0])) < fs.flags:
+            sizes = tuple(sorted(len(b) for b in orbits(usable, fs.flags)))
             out.append(Violation("not-connected", component_sizes=sizes))
         if fs.kind == MAP:
             g0, _, g2 = fs.gens
@@ -115,9 +118,52 @@ def validate(fs: FlagSystem) -> list[Violation]:
 # Cells and surface invariants
 
 
+_PAIRS = ((1, 2), (0, 2), (0, 1))  # the dihedral pairs of vertices, edges and faces
+
+
+def _pair_walk(fs: FlagSystem, i: int, j: int) -> tuple[list, list]:
+    """Orbits of the dihedral pair <g_i, g_j>, listed by least flag, with
+    the fixed ends (flag, generator) of each.
+
+    Two involutions link a flag to at most two others, so an orbit is a
+    cycle, or a path whose two ends are fixed incidences.  From the least
+    flag of an orbit the walk steps g_i, g_j, g_i, ... until it closes
+    the cycle or reaches a fixed flag; on a path it then walks g_j, g_i,
+    ... from the start to the other end.
+    """
+    pair = (fs.gen(i), fs.gen(j))
+    seen = [False] * fs.flags
+    blocks, ends = [], []
+    for start in range(fs.flags):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        fixed: list[tuple[int, int]] = []
+        for side in (0, 1):
+            f, s = start, side
+            while True:
+                t = pair[s][f]
+                if t == f:
+                    fixed.append((f, (i, j)[s]))
+                    break
+                if seen[t]:  # back at the start: a cycle
+                    break
+                seen[t] = True
+                block.append(t)
+                f, s = t, 1 - s
+            if not fixed:
+                break
+        blocks.append(block)
+        ends.append(fixed)
+    return blocks, ends
+
+
 def cells(fs: FlagSystem, i: int, j: int) -> list[tuple[int, ...]]:
-    """Orbits of the dihedral pair <g_i, g_j> on flags."""
-    return orbits([fs.gen(i), fs.gen(j)], fs.flags)
+    """Orbits of the dihedral pair <g_i, g_j> on flags, each sorted, listed
+    by least flag."""
+    fs.require_valid()
+    return [tuple(sorted(block)) for block in _pair_walk(fs, i, j)[0]]
 
 
 def vertex_cells(fs: FlagSystem) -> list[tuple[int, ...]]:
@@ -147,12 +193,13 @@ def two_coloring(fs: FlagSystem, fixed_break: bool) -> list[int] | None:
     constraint, which tests orientability of the surface even when it
     has a boundary.
     """
+    gens = fs.gens
     color = [-1] * fs.flags
     color[0] = 0
     stack = [0]
     while stack:
         f = stack.pop()
-        for g in fs.gens:
+        for g in gens:
             t = g[f]
             if t == f:
                 if fixed_break:
@@ -204,30 +251,15 @@ class SurfaceInvariants:
     type_signature: tuple[int, int]
 
 
-def _cell_sizes(fs: FlagSystem, blocks: list[tuple[int, ...]],
-                pair: tuple[int, int]) -> list[int]:
-    """Face sizes / vertex degrees per cell of the <g_i,g_j> pair.
-
-    A cell free of fixed flags has size orbit/2; a degenerate (boundary)
-    cell counts its corner positions, i.e. the g1-orbits inside it.
-    """
-    ga, gb = fs.gen(pair[0]), fs.gen(pair[1])
-    corner = fs.g1
-    sizes = []
-    for block in blocks:
-        if not any(ga[f] == f or gb[f] == f for f in block):
-            sizes.append(len(block) // 2)
-            continue
-        seen: set[int] = set()
-        corners = 0
-        for f in block:
-            if f in seen:
-                continue
-            seen.add(f)
-            seen.add(corner[f])
-            corners += 1
-        sizes.append(corners)
-    return sizes
+def _corners(walk) -> tuple[int, ...]:
+    """Face sizes or vertex degrees, sorted: the g1-orbits of each cell of
+    a <g0,g1> or <g1,g2> walk.  A cell has (size + g1-fixed flags) / 2 of
+    them, and its g1-fixed flags are its g1-fixed ends."""
+    blocks, ends = walk
+    return tuple(sorted(
+        (len(block) + sum(k == 1 for _, k in fixed)) // 2
+        for block, fixed in zip(blocks, ends)
+    ))
 
 
 def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
@@ -240,10 +272,8 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     (flags + k)/2 orbits, so chi = V+E+F - (flags + fixed flags)/2.
     """
     fs.require_valid()
-    vblocks = vertex_cells(fs)
-    eblocks = edge_cells(fs)
-    fblocks = face_cells(fs)
-    v, e, f = len(vblocks), len(eblocks), len(fblocks)
+    walks = [_pair_walk(fs, i, j) for i, j in _PAIRS]
+    v, e, f = (len(blocks) for blocks, _ in walks)
     fixed = fixed_flag_counts(fs)
     chi = (v + e + f) - (fs.flags + sum(fixed)) // 2
 
@@ -251,21 +281,16 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     orientable = two_coloring(fs, fixed_break=False) is not None
     orientable_closed = orientable and not has_boundary
 
-    boundary_comps = boundary_components(fs) if has_boundary else None
-    if not has_boundary:
-        if orientable:
-            genus = Genus("orientable", (2 - chi) // 2, True)
-        else:
-            genus = Genus("nonorientable", 2 - chi, False)
-    else:
-        b = boundary_comps or 0
-        if orientable:
-            genus = Genus("bordered", (2 - chi - b) // 2, True)
-        else:
-            genus = Genus("bordered", 2 - chi - b, False)
+    boundary_comps = _circuits(walks) if has_boundary else None
+    b = boundary_comps or 0
+    genus = Genus(
+        "bordered" if has_boundary else "orientable" if orientable else "nonorientable",
+        (2 - chi - b) // 2 if orientable else 2 - chi - b,
+        orientable,
+    )
 
-    face_sizes = tuple(sorted(_cell_sizes(fs, fblocks, (0, 1))))
-    vertex_degrees = tuple(sorted(_cell_sizes(fs, vblocks, (1, 2))))
+    face_sizes = _corners(walks[2])
+    vertex_degrees = _corners(walks[0])
     type_signature = (
         math.lcm(*face_sizes) if face_sizes else 0,
         math.lcm(*vertex_degrees) if vertex_degrees else 0,
@@ -291,68 +316,37 @@ class NoBoundaryError(FlagmapsError):
     """boundary_components called on a closed system."""
 
 
-def boundary_components(fs: FlagSystem) -> int:
-    """Number of boundary circuits of the underlying surface.
+def _circuits(walks) -> int:
+    """Boundary circuits, from the fixed ends of the three pair walks.
 
-    Fixed incidences (flag, generator) are the boundary sides of the flag
-    triangulation.  Every corner star (dihedral orbit of a generator pair)
-    containing fixed incidences is a path whose two ends are fixed
-    incidences; pairing the ends star by star links the boundary sides
-    into circuits, and the number of circuits is the answer.
+    A fixed incidence (flag, generator) is a boundary side of the flag
+    triangulation, and it ends one path in each of the two pairs that
+    contain its generator.  Linking the two ends of every path therefore
+    gives each incidence two links, so the links form disjoint circuits;
+    count them.
     """
-    fs.require_valid()
-    incidences = [
-        (f, i) for f in range(fs.flags) for i in range(3) if fs.gen(i)[f] == f
-    ]
-    if not incidences:
-        raise NoBoundaryError("system has no boundary")
-
-    # links[x][star] = the incidence paired with x in that corner-star type;
-    # an incidence of generator i belongs to the two stars containing i.
-    links: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {
-        x: {} for x in incidences
-    }
-    for star in ((0, 1), (0, 2), (1, 2)):
-        i, j = star
-        for block in orbits([fs.gen(i), fs.gen(j)], fs.flags):
-            ends = [
-                (f, k)
-                for f in block
-                for k in star
-                if fs.gen(k)[f] == f
-            ]
-            if not ends:
-                continue
-            if len(ends) != 2:
-                raise FlagmapsError(
-                    f"corner star {block} has {len(ends)} fixed ends"
-                )
-            a, b = ends
-            links[a][star] = b
-            links[b][star] = a
-
-    for x, partners in links.items():
-        if len(partners) != 2:
-            raise FlagmapsError(f"boundary incidence {x} has {len(partners)} links")
-
-    # Each incidence has exactly two link slots; the pairing graph is a
-    # disjoint union of circuits.  Walk them, leaving by the star not
-    # used to arrive.
-    used: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for _, ends in walks:
+        for fixed in ends:
+            if fixed:
+                a, b = fixed
+                links.setdefault(a, []).append(b)
+                links.setdefault(b, []).append(a)
     circuits = 0
-    for start in incidences:
-        for first_star in links[start]:
-            if (start, first_star) in used:
-                continue
-            circuits += 1
-            cur, star = start, first_star
-            while (cur, star) not in used:
-                used.add((cur, star))
-                nxt = links[cur][star]
-                used.add((nxt, star))
-                other = next(s for s in links[nxt] if s != star)
-                cur, star = nxt, other
+    while links:
+        circuits += 1
+        stack = [next(iter(links))]
+        while stack:
+            stack.extend(x for x in links.pop(stack.pop(), ()) if x in links)
     return circuits
+
+
+def boundary_components(fs: FlagSystem) -> int:
+    """Number of boundary circuits of the underlying surface."""
+    fs.require_valid()
+    if not any(fixed_flag_counts(fs)):
+        raise NoBoundaryError("system has no boundary")
+    return _circuits([_pair_walk(fs, i, j) for i, j in _PAIRS])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ class MapFormatError(FlagmapsError):
     """Malformed JSON or a structurally wrong map file."""
 
 
+def _brief(value: object) -> str:
+    """The repr of a value read from the file, cut short for an error line."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "…"
+
+
 def serialize(fs: FlagSystem) -> str:
     payload = {
         "kind": fs.kind,
@@ -49,7 +55,7 @@ def parse(text: str) -> FlagSystem:
     except KeyError as exc:
         raise MapFormatError(f"missing key {exc}") from exc
     if kind not in (MAP, HYPERMAP):
-        raise MapFormatError(f"kind must be 'map' or 'hypermap', not {kind!r}")
+        raise MapFormatError(f"kind must be 'map' or 'hypermap', not {_brief(kind)}")
     if not _is_int(flags) or flags < 1:
         raise MapFormatError("flags must be a positive integer")
     for name, table in zip(("r0", "r1", "r2"), tables):
@@ -58,7 +64,7 @@ def parse(text: str) -> FlagSystem:
             or len(table) != flags
             or not all(_is_int(x) for x in table)
         ):
-            raise MapFormatError(f"{name} must be a list of {flags} integers")
+            raise MapFormatError(f"{name} must be a list of {_brief(flags)} integers")
     fs = FlagSystem(kind, flags, *(tuple(t) for t in tables))
     fs.require_valid()
     return fs

@@ -165,6 +165,20 @@ def orbits(generators: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
     return [tuple(blocks[root]) for root in sorted(blocks)]
 
 
+def orbit_of(generators: Sequence[Perm], points: Iterable[int]) -> set[int]:
+    """The union of the orbits of ``points`` under the group the generators
+    generate."""
+    seen = set(points)
+    queue = list(seen)
+    for x in queue:
+        for g in generators:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def block_index(blocks: Sequence[Sequence[int]], degree: int) -> list[int]:
     """Map each point to the index of its block."""
     idx = [-1] * degree

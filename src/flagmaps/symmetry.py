@@ -12,13 +12,11 @@ generator (McKay & Piperno, "Practical graph isomorphism II", 2014).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
-from .core import FlagSystem, _reference, _tie, edge_cells
+from .core import FlagSystem, _pair_walk, _reference, _tie
 from .covers import lift_automorphisms, orientable_double_cover
-from .perms import Perm, block_index, compose, identity
+from .perms import Perm, block_index, compose, identity, orbit_of
 
 
 @dataclass(frozen=True)
@@ -63,22 +61,9 @@ class SymmetryClass:
 class StabilityReport:
     base_aut_order: int
     cover_aut_order: int
-    instability_index: Fraction
+    instability_index: int
     stable: bool
     lifted_subgroup_verified: bool
-
-
-def _orbit(perms: Sequence[Perm], points: Iterable[int]) -> set[int]:
-    """The union of the orbits of ``points`` under the group ``perms`` generate."""
-    seen = set(points)
-    queue = list(seen)
-    for x in queue:
-        for p in perms:
-            y = p[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
 
 
 def automorphism_group(fs: FlagSystem) -> AutGroup:
@@ -91,7 +76,7 @@ def automorphism_group(fs: FlagSystem) -> AutGroup:
         h = None if start in orbit else _tie(reference, start)
         if h is not None:
             generators.append(h)
-            orbit = _orbit(generators, orbit)
+            orbit = orbit_of(generators, orbit)
     return AutGroup(fs.flags, tuple(sorted(orbit)), tuple(generators))
 
 
@@ -105,9 +90,9 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
     if aut is None:
         aut = automorphism_group(fs)
     regular = aut.order == fs.flags
-    eblocks = edge_cells(fs)
+    eblocks, _ = _pair_walk(fs, 0, 2)
     cell_of = block_index(eblocks, fs.flags)
-    reached = {cell_of[f] for f in _orbit(aut.generators, [eblocks[0][0]])}
+    reached = {cell_of[f] for f in orbit_of(aut.generators, [eblocks[0][0]])}
     edge_transitive = len(reached) == len(eblocks)
     return SymmetryClass(
         regular=regular,
@@ -123,22 +108,25 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     cover subgroup of order 2 * |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
     |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
-    base group already computed.  The orbit of cover flag 0 under the
-    lifts of its generators and the deck must have 2 * |Aut base| flags,
-    all among the images found by the independent cover search.
+    base group already computed.  The subgroup is verified when the orbit
+    of cover flag 0 under the lifts of its generators and the deck has
+    2 * |Aut base| flags, all among the images found by the independent
+    cover search, and 2 * |Aut base| divides |Aut cover|, so that the
+    index is an integer.
     """
     dc = orientable_double_cover(fs)
     if aut is None:
         aut = automorphism_group(fs)
     lifted = [lift_automorphisms(dc, h)[0] for h in aut.generators] + [dc.deck]
     cover_aut = automorphism_group(dc.cover)
-    lifted_orbit = _orbit(lifted, [0])
-    index = Fraction(cover_aut.order, 2 * aut.order)
+    lifted_orbit = orbit_of(lifted, [0])
+    index, rest = divmod(cover_aut.order, 2 * aut.order)
     return StabilityReport(
         base_aut_order=aut.order,
         cover_aut_order=cover_aut.order,
         instability_index=index,
-        stable=index == 1,
-        lifted_subgroup_verified=len(lifted_orbit) == 2 * aut.order
+        stable=cover_aut.order == 2 * aut.order,
+        lifted_subgroup_verified=rest == 0
+        and len(lifted_orbit) == 2 * aut.order
         and lifted_orbit <= set(cover_aut.images),
     )

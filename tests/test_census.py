@@ -49,6 +49,7 @@ def test_no_two_isomorphic(map_census_8, hypermap_census_7):
     for records in (map_census_8, hypermap_census_7):
         codes = [rec.canonical for rec in records]
         assert len(codes) == len(set(codes))
+        assert codes == sorted(codes)
 
 
 def test_census_invariants(map_census_8):
@@ -69,6 +70,9 @@ def test_census_invariants(map_census_8):
             assert rec.instability_index >= 1
             assert rec.instability_index.denominator == 1
             assert rec.stable == (rec.instability_index == 1)
+            assert rec.lifted_subgroup_verified
+        else:
+            assert rec.lifted_subgroup_verified is None
 
 
 def test_orientable_closed_iff_even_subgroup_has_two_orbits(hypermap_census_7):

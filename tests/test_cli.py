@@ -58,6 +58,18 @@ def test_parse_rejects_deep_nesting_and_huge_integers(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_parse_errors_echo_a_short_value(tmp_path, capsys):
+    tables = ',"r0":[0],"r1":[0],"r2":[0]}'
+    deep_kind = '{"kind":' + "[" * 980 + "]" * 980 + ',"flags":1' + tables
+    huge_flags = '{"kind":"map","flags":' + "9" * 4000 + tables
+    for text in (deep_kind, huge_flags):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and len(line) < 200
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4)

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flagmaps.core import (
     HYPERMAP,
@@ -12,6 +12,7 @@ from flagmaps.core import (
     NoBoundaryError,
     boundary_components,
     canonical_form,
+    cells,
     encode,
     export_diagram,
     is_isomorphic,
@@ -31,7 +32,7 @@ from flagmaps.families import (
     torus_44,
 )
 from flagmaps.operations import dual, petrie
-from flagmaps.perms import identity
+from flagmaps.perms import identity, orbits
 
 
 def sphere_two_flags():
@@ -147,6 +148,131 @@ def test_boundary_components_semi_star_quotient():
 def test_boundary_components_requires_boundary():
     with pytest.raises(NoBoundaryError):
         boundary_components(hosohedron(3))
+
+
+def _reference_boundary_components(fs):
+    """Boundary circuits by linking fixed incidences (flag, generator)
+    through the corner stars, computed with union-find orbits."""
+    incidences = [(f, i) for f in range(fs.flags) for i in range(3) if fs.gen(i)[f] == f]
+    links = {x: {} for x in incidences}
+    for star in ((0, 1), (0, 2), (1, 2)):
+        for block in orbits([fs.gen(k) for k in star], fs.flags):
+            ends = [(f, k) for f in block for k in star if fs.gen(k)[f] == f]
+            if ends:
+                a, b = ends
+                links[a][star] = b
+                links[b][star] = a
+    used = set()
+    circuits = 0
+    for start in incidences:
+        for first_star in links[start]:
+            if (start, first_star) in used:
+                continue
+            circuits += 1
+            cur, star = start, first_star
+            while (cur, star) not in used:
+                used.add((cur, star))
+                nxt = links[cur][star]
+                used.add((nxt, star))
+                cur, star = nxt, next(s for s in links[nxt] if s != star)
+    return circuits
+
+
+def _g1_orbits_per_cell(fs, i, j):
+    blocks = orbits([fs.gen(i), fs.gen(j)], fs.flags)
+    return tuple(sorted(len({min(f, fs.g1[f]) for f in block}) for block in blocks))
+
+
+def _assert_walk_matches_orbits(fs):
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        assert cells(fs, i, j) == orbits([fs.gen(i), fs.gen(j)], fs.flags)
+    inv = surface_invariants(fs)
+    assert inv.face_sizes == _g1_orbits_per_cell(fs, 0, 1)
+    assert inv.vertex_degrees == _g1_orbits_per_cell(fs, 1, 2)
+    if inv.has_boundary:
+        want = _reference_boundary_components(fs)
+        assert boundary_components(fs) == inv.boundary_components == want
+    else:
+        assert inv.boundary_components is None
+    return inv.has_boundary
+
+
+def _random_involution(rng, points, images):
+    points = list(points)
+    rng.shuffle(points)
+    while points:
+        a = points.pop()
+        b = points.pop() if points and rng.random() < 0.7 else a
+        images[a], images[b] = b, a
+
+
+def _random_system(rng, kind, size):
+    """The component of flag 0 of three random involutions with fixed
+    flags, relabelled in order of discovery.  Map triples are built from
+    <g0,g2>-orbits of 1, 2 or 4 flags, so that g0 and g2 commute."""
+    g = [list(range(size)) for _ in range(3)]
+    if kind == MAP:
+        points = list(range(size))
+        rng.shuffle(points)
+        while points:
+            size = rng.choice([m for m in (1, 2, 4) if m <= len(points)])
+            chunk = [points.pop() for _ in range(size)]
+            if len(chunk) == 2:
+                a, b = chunk
+                for k in rng.choice(((0,), (2,), (0, 2))):
+                    g[k][a], g[k][b] = b, a
+            elif len(chunk) == 4:
+                a, b, c, d = chunk
+                g[0][a], g[0][b], g[0][c], g[0][d] = b, a, d, c
+                g[2][a], g[2][b], g[2][c], g[2][d] = c, d, a, b
+    else:
+        _random_involution(rng, range(size), g[0])
+        _random_involution(rng, range(size), g[2])
+    _random_involution(rng, range(size), g[1])
+    order, new = [0], {0: 0}
+    for f in order:
+        for t in (x[f] for x in g):
+            if t not in new:
+                new[t] = len(order)
+                order.append(t)
+    fs = FlagSystem(kind, len(order), *(tuple(new[x[f]] for f in order) for x in g))
+    assert validate(fs) == []
+    return fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 40), st.randoms(use_true_random=False))
+def test_pair_walk_matches_orbits_on_random_systems(kind, size, rng):
+    _assert_walk_matches_orbits(_random_system(rng, kind, size))
+
+
+def test_pair_walk_matches_orbits_on_census_classes(map_census_8, hypermap_census_7):
+    systems = [rec.fs for rec in map_census_8]
+    systems += [rec.fs for rec in hypermap_census_7 if rec.fs.flags <= 6]
+    systems.append(symmetric_map(5).fs)
+    bordered = sum(_assert_walk_matches_orbits(fs) for fs in systems)
+    assert 0 < bordered < len(systems)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.lists(st.integers(1, 12), min_size=2, max_size=4),
+       st.randoms(use_true_random=False))
+def test_validate_reports_component_sizes(kind, sizes, rng):
+    parts = [_random_system(rng, kind, size) for size in sizes]
+    n = sum(p.flags for p in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tables = [[0] * n for _ in range(3)]
+    offset = 0
+    for p in parts:
+        for table, g in zip(tables, p.gens):
+            for f in range(p.flags):
+                table[perm[offset + f]] = perm[offset + g[f]]
+        offset += p.flags
+    fs = FlagSystem(kind, n, *map(tuple, tables))
+    [v] = validate(fs)
+    assert v.kind == "not-connected"
+    assert v.component_sizes == tuple(sorted(p.flags for p in parts))
 
 
 def test_euler_characteristic_matches_naive_on_clean_maps():

@@ -22,6 +22,7 @@ from flagmaps.families import (
     symmetric_map,
     torus_44,
 )
+from flagmaps import symmetry
 from flagmaps.core import edge_cells, surface_invariants
 from flagmaps.perms import block_index, compose, identity
 from flagmaps.symmetry import (
@@ -190,6 +191,27 @@ def test_cover_order_divisible_by_twice_base():
         rep = stability_report(q)
         assert rep.cover_aut_order % (2 * rep.base_aut_order) == 0
         assert rep.instability_index.denominator == 1
+        assert type(rep.instability_index) is int
+
+
+def test_lifted_subgroup_needs_an_integer_index(map_census_8, monkeypatch):
+    # a cover search that reported one image too many: the lifted orbit
+    # still lies among the images, but 2 |Aut base| no longer divides the order
+    rec = next(r for r in map_census_8
+               if r.stable is not None and r.cover_aut_order < 2 * r.fs.flags)
+    real = symmetry.automorphism_group
+
+    def padded(fs):
+        aut = real(fs)
+        if fs.flags == 2 * rec.fs.flags:
+            spare = min(set(range(fs.flags)) - set(aut.images))
+            aut = AutGroup(fs.flags, tuple(sorted(aut.images + (spare,))), aut.generators)
+        return aut
+
+    monkeypatch.setattr(symmetry, "automorphism_group", padded)
+    rep = stability_report(rec.fs, real(rec.fs))
+    assert rep.cover_aut_order == rec.cover_aut_order + 1
+    assert not rep.lifted_subgroup_verified and not rep.stable
 
 
 def test_stability_report_reuses_the_given_base_group(map_census_8, hypermap_census_7):
