@@ -1,11 +1,10 @@
 """Exhaustive enumeration of maps/hypermaps by flag count, with stability.
 
-The search fills the three involution image tables slot by slot in
-(flag, generator) order, allocating new flag labels at first encounter.
-Completed tables are therefore exactly the breadth-first relabelings of
-connected systems, so a class is emitted precisely when a table equals
-its own canonical form; the search keeps only those tables.  Transitivity
-is built in; the map relation is forward-checked during the search.
+The search fills the three image tables slot by slot in (flag, generator)
+order, labelling new flags at first encounter; a class is a completed
+table equal to its own canonical form.  The search is orderly (Read 1978;
+McKay 1998): it cuts a partial table that another start labels smaller.
+Transitivity is built in; the map relation is forward-checked.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
     order.  Slots are filled in the encoding's (flag, generator) order,
     and at slot (f, i) every flag below f is already paired, so the
     candidates (f itself, the open flags above it, the fresh flag) come
-    in increasing order."""
+    in increasing order.  Labels come from defined slots only, so a cut by
+    ``_self_canonical`` after an assignment holds in every completion."""
     g = [[-1] * n, [-1] * n, [-1] * n]
     g0, g2 = g[0], g[2]
     used = 1
@@ -55,8 +55,7 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
                 break
             k += 1
         else:
-            if used == n and _self_canonical(g, n):
-                out.append((tuple(g[0]), tuple(g[1]), tuple(g[2])))
+            out.append((tuple(g[0]), tuple(g[1]), tuple(g[2])))
             return
         f, i = divmod(k, 3)
         table = g[i]
@@ -79,7 +78,7 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
                 if g[j][psi] >= 0:
                     affected.add(g[j][psi])
                 ok = all(relation_holds(x) for x in affected)
-            if ok:
+            if ok and _self_canonical(g, used):
                 dfs(k + 1)
             if fresh:
                 used -= 1
@@ -91,7 +90,7 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
 
 
 def _self_canonical(tables: list[list[int]], n: int) -> bool:
-    """Is the BFS-labelled table its own least relabeling: no start below it?"""
+    """Does no start read below the BFS-labelled, possibly partial, table?"""
     rows = tuple(zip(tables, tables))
     for start in range(1, n):
         if _labelling(rows, start)[0] < 0:

@@ -37,7 +37,7 @@ class InvalidFlagSystemError(FlagmapsError):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # not-a-permutation | non-involution | not-connected | map-relation-broken
+    kind: str  # one of the kinds listed in validate
     generator: int | None = None
     flag: int | None = None
     component_sizes: tuple[int, ...] | None = None
@@ -49,7 +49,9 @@ class Violation:
         if self.flag is not None:
             parts.append(f"flag={self.flag}")
         if self.component_sizes is not None:
-            parts.append(f"components={list(self.component_sizes)}")
+            sizes = self.component_sizes
+            more = f", … ({len(sizes)} components)" if len(sizes) > 8 else ""
+            parts.append(f"components=[{', '.join(map(str, sizes[:8]))}{more}]")
         return "(" + ", ".join(parts) + ")"
 
 
@@ -85,12 +87,15 @@ class FlagSystem:
 def validate(fs: FlagSystem) -> list[Violation]:
     """Check the three structural invariants; return violations, never raise.
 
-    Reported kinds: not-a-permutation, non-involution (with a witness
-    flag), not-connected (with component sizes), map-relation-broken.
+    Reported kinds: bad-kind, no-flags, not-a-permutation, non-involution
+    (with a witness flag), not-connected (with sizes), map-relation-broken.
     """
     out: list[Violation] = []
     if fs.kind not in (MAP, HYPERMAP):
         out.append(Violation("bad-kind"))
+        return out
+    if fs.flags < 1:
+        out.append(Violation("no-flags"))
         return out
     usable = []
     for i, g in enumerate(fs.gens):
@@ -102,7 +107,7 @@ def validate(fs: FlagSystem) -> list[Violation]:
             witness = next(f for f in range(fs.flags) if g[g[f]] != f)
             out.append(Violation("non-involution", generator=i, flag=witness))
     if len(usable) == 3 and not out:
-        if fs.flags and len(orbit_of(usable, [0])) < fs.flags:
+        if len(orbit_of(usable, [0])) < fs.flags:
             sizes = tuple(sorted(len(b) for b in orbits(usable, fs.flags)))
             out.append(Violation("not-connected", component_sizes=sizes))
         if fs.kind == MAP:
@@ -384,8 +389,10 @@ def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
     """Walk the breadth-first labelling from ``start`` over slots (p, g0),
     (p, g1), (p, g2), p = 0, 1, ..., against a reference labelled table,
     ``rows`` = ((g0, row0), ...); a None row matches any label.  Returns the
-    sign of the first differing slot (0 on a full tie), labels and order."""
-    new = [-1] * len(rows[0][0])
+    sign of the first differing slot (0 on a full tie), labels and order.
+    On partial tables an open slot (-1) stops the walk undecided, sign +1."""
+    new = [-1] * (len(rows[0][0]) + 1)
+    new[-1] = len(new) - 1  # an open slot reads label n, above every row entry
     new[start] = 0
     order = [start]
     for p, f in enumerate(order):

@@ -10,6 +10,7 @@ from flagmaps.core import (
     FlagSystem,
     InvalidFlagSystemError,
     NoBoundaryError,
+    _labelling,
     boundary_components,
     canonical_form,
     cells,
@@ -20,6 +21,7 @@ from flagmaps.core import (
     surface_invariants,
     validate,
 )
+from flagmaps.census import _self_canonical
 from flagmaps.covers import quotient_by
 from flagmaps.families import (
     glide_automorphism,
@@ -61,6 +63,26 @@ def test_validate_not_connected():
     [v] = validate(fs)
     assert v.kind == "not-connected"
     assert v.component_sizes == (1, 1, 1, 1)
+
+
+def test_validate_not_connected_message_is_bounded():
+    ident = identity(20000)
+    fs = FlagSystem(MAP, 20000, ident, ident, ident)
+    [v] = validate(fs)
+    assert len(v.component_sizes) == 20000
+    text = str(v)
+    assert len(text) < 120
+    assert "(20000 components)" in text
+    assert str(validate(FlagSystem(MAP, 4, *[identity(4)] * 3))[0]) == (
+        "(not-connected, components=[1, 1, 1, 1])"
+    )
+
+
+def test_validate_rejects_zero_flags():
+    fs = FlagSystem(MAP, 0, (), (), ())
+    assert [v.kind for v in validate(fs)] == ["no-flags"]
+    with pytest.raises(InvalidFlagSystemError):
+        surface_invariants(fs)
 
 
 def test_validate_map_relation():
@@ -273,6 +295,61 @@ def test_validate_reports_component_sizes(kind, sizes, rng):
     [v] = validate(fs)
     assert v.kind == "not-connected"
     assert v.component_sizes == tuple(sorted(p.flags for p in parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 30), st.randoms(use_true_random=False),
+       st.sampled_from(["walked", "reference", "both"]), st.data())
+def test_labelling_on_partial_tables_cuts_only_what_completion_cuts(kind, size, rng, side, data):
+    """A start may read smaller than the reference on partial tables only
+    if it does on the complete ones: an open slot never decides a cut."""
+    fs = _random_system(rng, kind, size)
+    n = fs.flags
+    cut = data.draw(st.integers(0, 3 * n))
+    masked = [list(g) for g in fs.gens]
+    for k in range(cut, 3 * n):
+        f, i = divmod(k, 3)
+        masked[i][f] = -1
+    walked = masked if side != "reference" else fs.gens
+    reference = masked if side != "walked" else fs.gens
+    complete = tuple(zip(fs.gens, fs.gens))
+    partial = tuple(zip(walked, reference))
+    for start in range(n):
+        if _labelling(partial, start)[0] < 0:
+            assert _labelling(complete, start)[0] < 0
+
+
+def _assert_no_prefix_cut(tables):
+    """Replay a self-canonical table slot by slot in the census search's
+    (flag, generator) order, filling both ends of each pair as the search
+    does: no prefix may fail the partial-table test the search prunes with."""
+    n = len(tables[0])
+    prefix = [[-1] * n for _ in range(3)]
+    used = 1
+    for k in range(3 * n):
+        f, i = divmod(k, 3)
+        if prefix[i][f] >= 0:
+            continue
+        psi = tables[i][f]
+        prefix[i][f] = psi
+        prefix[i][psi] = f
+        used = max(used, psi + 1)
+        assert _self_canonical(prefix, used), (tables, k)
+    assert prefix == [list(g) for g in tables]
+
+
+def test_pruning_never_cuts_a_census_class(map_census_8, hypermap_census_7):
+    for rec in map_census_8 + [r for r in hypermap_census_7 if r.fs.flags <= 6]:
+        _assert_no_prefix_cut(rec.fs.gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 30), st.randoms(use_true_random=False))
+def test_pruning_never_cuts_a_canonical_form(kind, size, rng):
+    # canonical_form walks complete tables only, so this does not rest on
+    # the census having emitted the class
+    body = canonical_form(_random_system(rng, kind, size))[5:]
+    _assert_no_prefix_cut([list(body[i::3]) for i in range(3)])
 
 
 def test_euler_characteristic_matches_naive_on_clean_maps():
