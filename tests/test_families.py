@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from flagmaps.core import is_isomorphic, surface_invariants, validate
+from flagmaps.core import canonical_form, is_isomorphic, surface_invariants, validate
 from flagmaps.covers import orientation_action, quotient_by
 from flagmaps.families import (
     BadFamilyParameterError,
@@ -11,6 +13,8 @@ from flagmaps.families import (
     from_rotation_system,
     glide_automorphism,
     hosohedron,
+    icosahedron,
+    k6_projective,
     nn2_map,
     nn2_quotient_automorphism,
     octahedron,
@@ -221,6 +225,27 @@ def test_polyhedra():
     assert (o.vertices, o.edges, o.faces, o.chi) == (6, 12, 8, 2)
     assert automorphism_group(tetrahedron()).order == 24
     assert automorphism_group(octahedron()).order == 48
+
+
+@pytest.mark.parametrize(
+    "build, flags, cells, chi, sig, digest",
+    [
+        (tetrahedron, 24, (4, 6, 4), 2, (3, 3), "912194c582d2"),
+        (octahedron, 48, (6, 12, 8), 2, (3, 4), "153f91bbc057"),
+        (icosahedron, 120, (12, 30, 20), 2, (3, 5), "77585adb18b9"),
+        (k6_projective, 60, (6, 15, 10), 1, (3, 5), "bb33a0f5c4b4"),
+    ],
+)
+def test_platonic_maps_pinned(build, flags, cells, chi, sig, digest):
+    """The solids and K6 keep their isomorphism class, whatever their flag
+    labels: a sha256 prefix of the canonical form pins it."""
+    fs = build()
+    inv = surface_invariants(fs)
+    assert fs.flags == flags
+    assert (inv.vertices, inv.edges, inv.faces, inv.chi) == (*cells, chi)
+    assert inv.type_signature == sig
+    assert symmetry_class(fs).regular
+    assert hashlib.sha256(canonical_form(fs)).hexdigest()[:12] == digest
 
 
 def test_icosahedron_regular(icosa):
