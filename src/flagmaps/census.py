@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import MAP, FlagSystem, SurfaceInvariants, _labelling, encode, surface_invariants
+from .errors import BadBoundError
 from .symmetry import automorphism_group, stability_report, symmetry_class
 
 
@@ -102,7 +103,7 @@ def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSyst
     """Every valid system with at most max_flags flags, one per
     isomorphism class, ordered by flag count then canonical code."""
     if max_flags < 1:
-        raise ValueError("max_flags must be >= 1")
+        raise BadBoundError("max_flags must be >= 1")
     for n in range(1, max_flags + 1):
         for tables in _enumerate_tables(n, kind == MAP):
             yield FlagSystem(kind, n, *tables)

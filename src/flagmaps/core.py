@@ -171,16 +171,8 @@ def cells(fs: FlagSystem, i: int, j: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(block)) for block in _pair_walk(fs, i, j)[0]]
 
 
-def vertex_cells(fs: FlagSystem) -> list[tuple[int, ...]]:
-    return cells(fs, 1, 2)
-
-
 def edge_cells(fs: FlagSystem) -> list[tuple[int, ...]]:
     return cells(fs, 0, 2)
-
-
-def face_cells(fs: FlagSystem) -> list[tuple[int, ...]]:
-    return cells(fs, 0, 1)
 
 
 def fixed_flag_counts(fs: FlagSystem) -> tuple[int, int, int]:

@@ -13,14 +13,18 @@ Encodings:
   It is the one place where the group of an involution triple is
   expanded; ``grouplevel.explicit_model`` analyses a GroupMap, and
   ``check_involution_triple`` is the precondition both levels share.
+  The tetrahedron, octahedron and icosahedron are GroupMaps of their
+  automorphism groups, each given by its involution triple acting on the
+  vertices (``_PLATONIC``); ``k6_projective`` quotients the icosahedron by
+  the central antipodal element.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .core import MAP, HYPERMAP, FlagSystem
+from .covers import quotient_by
 from .errors import FlagmapsError
 from .perms import (
     CLOSURE_CAP,
@@ -29,6 +33,7 @@ from .perms import (
     generate_closure,
     identity,
     is_involution,
+    parse_cycles,
 )
 
 
@@ -361,145 +366,49 @@ def symmetric_map(n: int, hypermap: bool = False) -> GroupMap:
 
 
 # ---------------------------------------------------------------------------
-# Polyhedra from geometry and the projective K6
+# Platonic maps and the projective K6
+
+# (degree, r0, r1, r2): the automorphisms that move the base flag along
+# g0, g1 and g2, written by their faithful action on the vertices.
+_PLATONIC = {
+    "tetrahedron": (4, "(1,4)", "(2,4)", "(2,3)"),
+    "octahedron": (6, "(1,6)(2,5)", "(3,6)(4,5)", "(3,4)"),
+    "icosahedron": (
+        12, "(1,6)(2,12)(3,11)(9,10)", "(2,7)(4,11)(5,9)(6,8)", "(2,3)(4,5)(7,8)(11,12)"
+    ),
+}
 
 
-def from_rotation_system(neighbors: Sequence[Sequence[int]]) -> FlagSystem:
-    """Closed orientable map from cyclic neighbor orders of a simple graph.
-
-    Flags are (dart, side); g1 steps to the next/previous dart around
-    the vertex, g0 reverses the dart, and both flip the side, which
-    makes the flag graph bipartite (the map is orientable and closed).
-    """
-    darts: dict[tuple[int, int], int] = {}
-    for u, nbrs in enumerate(neighbors):
-        if len(set(nbrs)) != len(nbrs) or u in nbrs:
-            raise BadFamilyParameterError("rotation system must be simple")
-        for v in nbrs:
-            darts[(u, v)] = len(darts)
-    for (u, v) in list(darts):
-        if (v, u) not in darts:
-            raise BadFamilyParameterError("adjacency is not symmetric")
-
-    def sigma(u: int, v: int, step: int) -> tuple[int, int]:
-        ring = neighbors[u]
-        return (u, ring[(ring.index(v) + step) % len(ring)])
-
-    size = len(darts) * 2
-    g0, g1, g2 = [0] * size, [0] * size, [0] * size
-    for (u, v), d in darts.items():
-        for e in range(2):
-            f = d * 2 + e
-            g2[f] = d * 2 + (1 - e)
-            g0[f] = darts[(v, u)] * 2 + (1 - e)
-            step = 1 if e == 0 else -1
-            g1[f] = darts[sigma(u, v, step)] * 2 + (1 - e)
-    return FlagSystem(MAP, size, tuple(g0), tuple(g1), tuple(g2))
-
-
-def _rotation_from_coords(
-    coords: Sequence[tuple[float, float, float]]
-) -> list[list[int]]:
-    """Neighbor rings ordered counterclockwise around the outward normal,
-    for a convex vertex-transitive solid centered at the origin."""
-
-    def sub(a, b):
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-    def dot(a, b):
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-    def cross(a, b):
-        return (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-
-    def norm(a):
-        length = math.sqrt(dot(a, a))
-        return (a[0] / length, a[1] / length, a[2] / length)
-
-    n = len(coords)
-    dist2 = {
-        (i, j): dot(sub(coords[i], coords[j]), sub(coords[i], coords[j]))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    }
-    edge2 = min(dist2.values())
-    adjacency = [
-        [j for j in range(n) if i != j and abs(dist2[(i, j)] - edge2) < 1e-9]
-        for i in range(n)
-    ]
-    rings = []
-    for i, nbrs in enumerate(adjacency):
-        axis = norm(coords[i])
-        w0 = sub(coords[nbrs[0]], coords[i])
-        w0 = sub(w0, tuple(dot(w0, axis) * a for a in axis))
-        e1 = norm(w0)
-        e2 = cross(axis, e1)
-
-        def angle(j):
-            w = sub(coords[j], coords[i])
-            return math.atan2(dot(w, e2), dot(w, e1))
-
-        rings.append(sorted(nbrs, key=angle))
-    return rings
+def _platonic(name: str) -> GroupMap:
+    degree, *triple = _PLATONIC[name]
+    return GroupMap(*(parse_cycles(r, degree) for r in triple))
 
 
 def tetrahedron() -> FlagSystem:
-    coords = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    return from_rotation_system(_rotation_from_coords(coords))
+    return _platonic("tetrahedron").fs
 
 
 def octahedron() -> FlagSystem:
-    coords = [
-        (1, 0, 0), (-1, 0, 0),
-        (0, 1, 0), (0, -1, 0),
-        (0, 0, 1), (0, 0, -1),
-    ]
-    return from_rotation_system(_rotation_from_coords(coords))
+    return _platonic("octahedron").fs
 
 
 def icosahedron() -> FlagSystem:
     """The regular icosahedral map on the sphere: 120 flags, regular."""
-    phi = (1 + math.sqrt(5)) / 2
-    coords = []
-    for a in (-1.0, 1.0):
-        for b in (-phi, phi):
-            coords.extend([(0.0, a, b), (a, b, 0.0), (b, 0.0, a)])
-    return from_rotation_system(_rotation_from_coords(coords))
-
-
-def antipodal_automorphism(fs: FlagSystem) -> Perm:
-    """The unique central fixed-point-free involution of the automorphism
-    group (exists e.g. for the icosahedral map)."""
-    from .symmetry import automorphism_group  # local import to avoid a cycle
-
-    aut = automorphism_group(fs)
-    ident = identity(fs.flags)
-    candidates = [
-        h
-        for h in aut.elements
-        if h != ident
-        and compose(h, h) == ident
-        and all(h[f] != f for f in range(fs.flags))
-        and all(compose(h, g) == compose(g, h) for g in aut.generators)
-    ]
-    if len(candidates) != 1:
-        raise UnsupportedFamilyError(
-            f"expected exactly one central fixed-point-free involution, "
-            f"found {len(candidates)}"
-        )
-    return candidates[0]
+    return _platonic("icosahedron").fs
 
 
 def k6_projective() -> FlagSystem:
     """The regular embedding of K6 in the projective plane, as the
-    antipodal quotient of the icosahedral map (60 flags)."""
-    from .covers import quotient_by  # local import to avoid a cycle
+    antipodal quotient of the icosahedral map (60 flags).
 
-    icosa = icosahedron()
-    z = antipodal_automorphism(icosa)
-    return quotient_by(icosa, [identity(icosa.flags), z])
+    The antipodal map is the one non-identity element of the icosahedral
+    group that commutes with all three generators.
+    """
+    gm = _platonic("icosahedron")
+    (z,) = [
+        a
+        for a in gm.elements
+        if a != identity(len(a))
+        and all(compose(a, r) == compose(r, a) for r in gm.generators)
+    ]
+    return quotient_by(gm.fs, [identity(gm.order), gm.automorphism(z)])

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .errors import FlagmapsError
+from .errors import BadBoundError, FlagmapsError
 
 Perm = tuple[int, ...]
 
@@ -199,7 +199,7 @@ def generate_closure(
     callers for which that is expected fall back to group-level reasoning.
     """
     if cap <= 0:
-        raise ValueError("cap must be positive")
+        raise BadBoundError("cap must be positive")
     degree = check_degrees(generators, degree)
     ident = identity(degree)
     elements: set[Perm] = {ident}

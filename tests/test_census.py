@@ -15,6 +15,7 @@ from flagmaps.core import (
     validate,
 )
 from flagmaps.covers import orientable_double_cover
+from flagmaps.errors import FlagmapsError
 from flagmaps.perms import orbits
 from flagmaps.verify import naive_class_counts
 
@@ -120,3 +121,7 @@ def test_csv_format(map_census_8):
 def test_enumerate_rejects_bad_bound():
     with pytest.raises(ValueError):
         list(enumerate_flag_systems(0, MAP))
+    with pytest.raises(FlagmapsError):
+        list(enumerate_flag_systems(0, HYPERMAP))
+    with pytest.raises(FlagmapsError):
+        stability_census(-1, MAP)

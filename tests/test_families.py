@@ -10,7 +10,6 @@ from flagmaps.families import (
     NotInGroupError,
     NotInvolutionError,
     UnsupportedFamilyError,
-    from_rotation_system,
     glide_automorphism,
     hosohedron,
     icosahedron,
@@ -260,10 +259,3 @@ def test_k6_projective(k6):
     assert k6.flags == 60
     assert inv.vertex_degrees == (5,) * 6  # complete graph on six vertices
     assert symmetry_class(k6).regular
-
-
-def test_from_rotation_system_rejects_bad_input():
-    with pytest.raises(BadFamilyParameterError):
-        from_rotation_system([[1, 1], [0, 0]])
-    with pytest.raises(BadFamilyParameterError):
-        from_rotation_system([[1], []])

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from flagmaps.errors import FlagmapsError
 from flagmaps.families import hosohedron, icosahedron, symmetric_generators
 from flagmaps.perms import (
     ClosureOverflowError,
@@ -144,6 +145,9 @@ def test_generate_closure_overflow():
         generate_closure(
             [parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)], cap=50
         )
+    for cap in (0, -1):
+        with pytest.raises(FlagmapsError):
+            generate_closure([parse_cycles("(1,2)", 2)], cap=cap)
 
 
 def test_perm_order_and_involution():
