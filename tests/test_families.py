@@ -88,6 +88,26 @@ def test_reflection_rejects_other_maps():
         reflection_automorphism(tetrahedron())
 
 
+@pytest.mark.parametrize(
+    "automorphisms, digest",
+    [
+        (lambda: [reflection_automorphism(hosohedron(n)) for n in range(1, 17)],
+         "9cce5deb211748732a4c160ebef21bcdc1f824d3e7c244258ce88bf4176099c0"),
+        (lambda: [reflection_automorphism(semi_star(n)) for n in range(1, 17)],
+         "4566dcf304ce70b384b73bb3f002ce0911ebc538ba6d9fc0a3c457ad10f1a3fb"),
+        (lambda: [glide_automorphism(torus_44("diag", m)) for m in range(1, 6)],
+         "36894c0afc92d91195585499de05556f7a2c3a969997f3aee846530741026bcc"),
+        (lambda: [glide_automorphism(torus_44("rect", m)) for m in range(1, 6)],
+         "8fd846863f13ef6d8b5b9c8c9bd2b6130b754d3aa0ef24cbe790c1cdb824e6f8"),
+    ],
+    ids=["hosohedron-reflection", "semistar-reflection", "diag-glide", "rect-glide"],
+)
+def test_quotient_automorphisms_pinned(automorphisms, digest):
+    """The reflections and glides are these exact permutations: the sha256
+    of the repr of their list pins every image of every flag."""
+    assert hashlib.sha256(repr(automorphisms()).encode()).hexdigest() == digest
+
+
 def test_torus_44_diag():
     k = torus_44("diag", 1)
     assert k.flags == 64
