@@ -121,43 +121,48 @@ class CensusRecord:
     instability_index: int | None
     cover_aut_order: int | None
     lifted_subgroup_verified: bool | None
-    canonical: bytes
+
+    @property
+    def canonical(self) -> bytes:
+        """The encoding of ``fs``; the census emits each class in its
+        canonical labelling, so there this is its canonical form."""
+        return encode(self.fs)
 
 
-def stability_census(max_flags: int, kind: str = MAP) -> list[CensusRecord]:
-    """One record per isomorphism class, with stability where defined.
+def analyze(fs: FlagSystem) -> CensusRecord:
+    """The invariants, Aut, the symmetry class and, where defined, the
+    stability report of one system, each computed once.
 
     Stability is undefined for orientable boundary-free systems (their
     canonical double cover would be disconnected); those fields are None.
     """
-    records = []
-    for fs in enumerate_flag_systems(max_flags, kind):
-        inv = surface_invariants(fs)
-        aut = automorphism_group(fs)
-        sym = symmetry_class(fs, aut)
-        stable = index = cover_order = lifted = None
-        if not inv.orientable_no_boundary:
-            rep = stability_report(fs, aut)
-            stable = rep.stable
-            index = rep.instability_index
-            cover_order = rep.cover_aut_order
-            lifted = rep.lifted_subgroup_verified
-        records.append(
-            CensusRecord(
-                fs=fs,
-                invariants=inv,
-                aut_order=aut.order,
-                regular=sym.regular,
-                edge_transitive=sym.edge_transitive,
-                edge_regular=sym.edge_regular,
-                stable=stable,
-                instability_index=index,
-                cover_aut_order=cover_order,
-                lifted_subgroup_verified=lifted,
-                canonical=encode(fs),
-            )
-        )
-    return records
+    inv = surface_invariants(fs)
+    aut = automorphism_group(fs)
+    sym = symmetry_class(fs, aut)
+    stable = index = cover_order = lifted = None
+    if not inv.orientable_no_boundary:
+        rep = stability_report(fs, aut)
+        stable = rep.stable
+        index = rep.instability_index
+        cover_order = rep.cover_aut_order
+        lifted = rep.lifted_subgroup_verified
+    return CensusRecord(
+        fs=fs,
+        invariants=inv,
+        aut_order=aut.order,
+        regular=sym.regular,
+        edge_transitive=sym.edge_transitive,
+        edge_regular=sym.edge_regular,
+        stable=stable,
+        instability_index=index,
+        cover_aut_order=cover_order,
+        lifted_subgroup_verified=lifted,
+    )
+
+
+def stability_census(max_flags: int, kind: str = MAP) -> list[CensusRecord]:
+    """One record per isomorphism class, with stability where defined."""
+    return [analyze(fs) for fs in enumerate_flag_systems(max_flags, kind)]
 
 
 CSV_HEADER = [

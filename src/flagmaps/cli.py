@@ -9,14 +9,8 @@ import argparse
 import json
 import sys
 
-from .census import census_csv, census_summary, stability_census
-from .core import (
-    HYPERMAP,
-    MAP,
-    FlagSystem,
-    export_diagram,
-    surface_invariants,
-)
+from .census import analyze, census_csv, census_summary, stability_census
+from .core import HYPERMAP, MAP, FlagSystem, export_diagram
 from .covers import check_automorphism, orientable_double_cover, quotient_by
 from .errors import FlagmapsError
 from .families import (
@@ -34,7 +28,6 @@ from .grouplevel import family_report
 from .mapjson import MapFormatError, parse, serialize
 from .operations import dual, medial, petrie
 from .perms import format_cycles, generate_closure, parse_cycles
-from .symmetry import automorphism_group, stability_report, symmetry_class
 from .verify import run_all
 
 
@@ -81,10 +74,9 @@ def _build(args: argparse.Namespace) -> int:
 
 def analysis_summary(fs: FlagSystem) -> dict:
     """Invariants, symmetry class, and the stability report when defined."""
-    inv = surface_invariants(fs)
-    aut = automorphism_group(fs)
-    sym = symmetry_class(fs, aut)
-    summary = {
+    rec = analyze(fs)
+    inv = rec.invariants
+    return {
         "kind": fs.kind,
         "flags": fs.flags,
         "vertices": inv.vertices,
@@ -97,21 +89,14 @@ def analysis_summary(fs: FlagSystem) -> dict:
         "type": list(inv.type_signature),
         "faceSizes": list(inv.face_sizes),
         "vertexDegrees": list(inv.vertex_degrees),
-        "baseAut": aut.order,
-        "regular": sym.regular,
-        "edgeTransitive": sym.edge_transitive,
-        "edgeRegular": sym.edge_regular,
+        "baseAut": rec.aut_order,
+        "regular": rec.regular,
+        "edgeTransitive": rec.edge_transitive,
+        "edgeRegular": rec.edge_regular,
+        "coverAut": rec.cover_aut_order,
+        "index": None if rec.instability_index is None else str(rec.instability_index),
+        "stable": rec.stable,
     }
-    if not inv.orientable_no_boundary:
-        rep = stability_report(fs, aut)
-        summary.update(
-            coverAut=rep.cover_aut_order,
-            index=str(rep.instability_index),
-            stable=rep.stable,
-        )
-    else:
-        summary.update(coverAut=None, index=None, stable=None)
-    return summary
 
 
 def _analyze(args: argparse.Namespace) -> int:

@@ -181,14 +181,12 @@ def fixed_flag_counts(fs: FlagSystem) -> tuple[int, int, int]:
     )  # type: ignore[return-value]
 
 
-def two_coloring(fs: FlagSystem, fixed_break: bool) -> list[int] | None:
-    """2-color flags so every generator step alternates colors.
+def two_coloring(fs: FlagSystem) -> list[int] | None:
+    """2-color flags so every generator step between two flags alternates
+    colors, or None if no such coloring exists.
 
-    With fixed_break=True a flag fixed by a generator is an immediate
-    odd cycle, so the coloring exists iff the system is orientable with
-    empty boundary.  With fixed_break=False fixed incidences impose no
-    constraint, which tests orientability of the surface even when it
-    has a boundary.
+    A flag fixed by a generator imposes no constraint, so the coloring
+    exists iff the surface is orientable, with or without boundary.
     """
     gens = fs.gens
     color = [-1] * fs.flags
@@ -199,8 +197,6 @@ def two_coloring(fs: FlagSystem, fixed_break: bool) -> list[int] | None:
         for g in gens:
             t = g[f]
             if t == f:
-                if fixed_break:
-                    return None
                 continue
             if color[t] == -1:
                 color[t] = 1 - color[f]
@@ -275,7 +271,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     chi = (v + e + f) - (fs.flags + sum(fixed)) // 2
 
     has_boundary = any(fixed)
-    orientable = two_coloring(fs, fixed_break=False) is not None
+    orientable = two_coloring(fs) is not None
     orientable_closed = orientable and not has_boundary
 
     boundary_comps = _circuits(walks) if has_boundary else None

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .core import FlagSystem, _reference, _tie, canonical_form, two_coloring
 from .errors import FlagmapsError
-from .perms import Perm, compose, identity, orbits
+from .perms import Perm, block_index, compose, identity, is_perm, orbits
 
 ORIENTATION_PRESERVING = "preserving"
 ORIENTATION_REVERSING = "reversing"
@@ -54,13 +54,23 @@ class DoubleCover:
 
 
 def check_automorphism(fs: FlagSystem, h: Perm) -> None:
-    """Raise NotAnAutomorphismError unless h commutes with every generator."""
-    if len(h) != fs.flags:
+    """Raise NotAnAutomorphismError unless h is a permutation of the flags
+    that commutes with every generator."""
+    if len(h) != fs.flags or not is_perm(h):
         raise NotAnAutomorphismError(h, -1, -1)
     for i, g in enumerate(fs.gens):
         for f in range(fs.flags):
             if h[g[f]] != g[h[f]]:
                 raise NotAnAutomorphismError(h, i, f)
+
+
+def _closed_coloring(fs: FlagSystem) -> list[int] | None:
+    """The two-colouring of an orientable system with empty boundary, or
+    None for any other.  A fixed flag is a boundary incidence, so the test
+    for one comes first and stops at the first it finds."""
+    if any(g[f] == f for g in fs.gens for f in range(fs.flags)):
+        return None
+    return two_coloring(fs)
 
 
 def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
@@ -72,7 +82,7 @@ def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
     copies of the input.
     """
     fs.require_valid()
-    if two_coloring(fs, fixed_break=True) is not None:
+    if _closed_coloring(fs) is not None:
         raise AlreadyOrientableClosedError(
             "input is already orientable with empty boundary"
         )
@@ -120,10 +130,7 @@ def quotient_by(fs: FlagSystem, subgroup: Iterable[Perm]) -> FlagSystem:
             raise FlagmapsError("automorphism subgroup is not semiregular")
 
     blocks = orbits(elements, fs.flags)
-    block_of = [0] * fs.flags
-    for b, block in enumerate(blocks):
-        for f in block:
-            block_of[f] = b
+    block_of = block_index(blocks, fs.flags)
     tables = []
     for g in fs.gens:
         img = tuple(block_of[g[block[0]]] for block in blocks)
@@ -141,7 +148,7 @@ def orientation_action(fs: FlagSystem, aut: Perm) -> str:
     fixes or swaps the two color classes.
     """
     fs.require_valid()
-    color = two_coloring(fs, fixed_break=True)
+    color = _closed_coloring(fs)
     if color is None:
         raise NotOrientableClosedError(
             "orientation action needs an orientable boundary-free system"

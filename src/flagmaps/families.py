@@ -8,6 +8,10 @@ Encodings:
   edge are swapped by both g0 and g2 (interior semi-edge, no boundary).
 * torus_44: square-lattice torus quotients; flags (vertex, dart, side)
   with darts +x,+y,-x,-y indexed 0..3 and side 0=L (counterclockwise).
+* reflection_automorphism and glide_automorphism recognise their family
+  and name the automorphism by the image of flag 0: on a connected
+  system one image fixes an automorphism, and the labelling kernel's tie
+  from that image builds it.
 * GroupMap: flags are the elements of a permutation group, generators
   act by right multiplication, automorphisms by left multiplication.
   It is the one place where the group of an involution triple is
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .core import MAP, HYPERMAP, FlagSystem
+from .core import MAP, HYPERMAP, FlagSystem, _reference, _tie
 from .covers import quotient_by
 from .errors import FlagmapsError
 from .perms import (
@@ -91,28 +95,27 @@ def semi_star(n: int) -> FlagSystem:
     return FlagSystem(MAP, size, swap, g1, swap)
 
 
+def _automorphism_from(fs: FlagSystem, image: int) -> Perm:
+    """The automorphism of a connected system sending flag 0 to ``image``:
+    the tie of the labelling kernel from that flag."""
+    h = _tie(_reference(fs), image)
+    if h is None:
+        raise FlagmapsError(f"no automorphism sends flag 0 to flag {image}")
+    return h
+
+
 def reflection_automorphism(fs: FlagSystem) -> Perm:
-    """The edge reflection of a hosohedron or semi-star.
+    """The edge reflection of a hosohedron or semi-star, the automorphism
+    sending flag 0 to its g2-image: it keeps the edge of flag 0 and swaps
+    its two sides.
 
     Quotienting by it folds the sphere onto a closed disc; the fixed
     axis passes through one edge (and the opposite edge when n is even).
     """
-    if fs.flags % 4 == 0:
-        n = fs.flags // 4
-        if fs == hosohedron(n):
-            refl = [0] * fs.flags
-
-            def idx(v: int, k: int, s: int) -> int:
-                return (v * n + k % n) * 2 + s
-
-            for v in range(2):
-                for k in range(n):
-                    for s in range(2):
-                        refl[idx(v, k, s)] = idx(v, -k, 1 - s)
-            return tuple(refl)
-    if fs.flags % 2 == 0 and fs == semi_star(fs.flags // 2):
-        size = fs.flags
-        return tuple((1 - f) % size for f in range(size))
+    if (fs.flags % 4 == 0 and fs == hosohedron(fs.flags // 4)) or (
+        fs.flags % 2 == 0 and fs == semi_star(fs.flags // 2)
+    ):
+        return _automorphism_from(fs, fs.g2[0])
     raise UnsupportedFamilyError(
         "reflection_automorphism only applies to hosohedron/semi_star output"
     )
@@ -153,6 +156,11 @@ def _torus_key(lattice: str, m: int, x: int, y: int) -> tuple[int, int]:
     return (x % (2 * m), y % (2 * m))
 
 
+def _torus_flag(vid: int, d: int, s: int) -> int:
+    """The torus_44 flag at vertex ``vid``, dart ``d`` (mod 4), side ``s``."""
+    return (vid * 4 + d % 4) * 2 + s
+
+
 def torus_44(lattice: str, m: int) -> FlagSystem:
     """Regular torus quotient of the square tessellation.
 
@@ -165,31 +173,29 @@ def torus_44(lattice: str, m: int) -> FlagSystem:
     if m < 1:
         raise BadFamilyParameterError("torus_44 needs m >= 1")
     reps, ids = _torus_vertices(lattice, m)
-    nv = len(reps)
-    size = nv * 8
-
-    def idx(vid: int, d: int, s: int) -> int:
-        return (vid * 4 + d % 4) * 2 + s
-
+    size = len(reps) * 8
     g0, g1, g2 = [0] * size, [0] * size, [0] * size
     for vid, (x, y) in enumerate(reps):
         for d in range(4):
             dx, dy = _DART_VEC[d]
             other = ids[_torus_key(lattice, m, x + dx, y + dy)]
             for s in range(2):
-                f = idx(vid, d, s)
-                g2[f] = idx(vid, d, 1 - s)
-                g1[f] = idx(vid, d + 1, 1) if s == 0 else idx(vid, d - 1, 0)
-                g0[f] = idx(other, d + 2, 1 - s)
+                f = _torus_flag(vid, d, s)
+                g2[f] = _torus_flag(vid, d, 1 - s)
+                g1[f] = (_torus_flag(vid, d + 1, 1) if s == 0
+                         else _torus_flag(vid, d - 1, 0))
+                g0[f] = _torus_flag(other, d + 2, 1 - s)
     return FlagSystem(MAP, size, tuple(g0), tuple(g1), tuple(g2))
 
 
 def glide_automorphism(fs: FlagSystem) -> Perm:
-    """The fixed-point-free orientation-reversing glide of a torus_44 map.
+    """The fixed-point-free orientation-reversing glide of a torus_44 map,
+    named by the image of flag 0 (vertex (0,0), dart +x, side 0).
 
     diag lattice: (x,y) -> (y+m, x+m), swapping the +x/+y and -x/-y
-    darts; rect lattice: (x,y) -> (x+m, -y), swapping +y and -y.  Both
-    flip the side bit.
+    darts, so flag 0 goes to (vertex (m,m), dart +y, side 1); rect
+    lattice: (x,y) -> (x+m, -y), swapping +y and -y, so flag 0 goes to
+    (vertex (m,0), dart +x, side 1).
     """
     for lattice, flags_per in ((DIAG, 64), (RECT, 32)):
         if fs.flags % flags_per:
@@ -199,24 +205,10 @@ def glide_automorphism(fs: FlagSystem) -> Perm:
             continue
         if fs != torus_44(lattice, m):
             continue
-        reps, ids = _torus_vertices(lattice, m)
-        size = fs.flags
-
-        def idx(vid: int, d: int, s: int) -> int:
-            return (vid * 4 + d % 4) * 2 + s
-
-        glide = [0] * size
-        for vid, (x, y) in enumerate(reps):
-            if lattice == DIAG:
-                tvid = ids[_torus_key(lattice, m, y + m, x + m)]
-                dart_map = (1, 0, 3, 2)
-            else:
-                tvid = ids[_torus_key(lattice, m, x + m, -y)]
-                dart_map = (0, 3, 2, 1)
-            for d in range(4):
-                for s in range(2):
-                    glide[idx(vid, d, s)] = idx(tvid, dart_map[d], 1 - s)
-        return tuple(glide)
+        vertex, dart = ((m, m), 1) if lattice == DIAG else ((m, 0), 0)
+        _, ids = _torus_vertices(lattice, m)
+        image = _torus_flag(ids[_torus_key(lattice, m, *vertex)], dart, 1)
+        return _automorphism_from(fs, image)
     raise UnsupportedFamilyError("glide_automorphism only applies to torus_44 output")
 
 
@@ -275,9 +267,7 @@ class GroupMap:
         return tuple(self._index[compose(a, e)] for e in self.elements)
 
     def element_product(self, *factors: Perm) -> Perm:
-        out = factors[0]
-        for f in factors[1:]:
-            out = compose(out, f)
+        out = compose(*factors)
         if out not in self:
             raise NotInGroupError("product left the group (degree mismatch?)")
         return out
@@ -325,15 +315,25 @@ def nn2_quotient_automorphism(gm: GroupMap) -> Perm:
 # Symmetric-group families
 
 
+# Every S_n model starts from symmetric_generators, so this one bound
+# caps them all.  It is the largest n for which the cover's chi, about
+# -n!/2, still prints: Python converts an int of more than 4,300 digits
+# to a string only when sys.set_int_max_str_digits raises that limit.
+SYMMETRIC_MAX_N = 1555
+
+
 def symmetric_generators(n: int, hypermap: bool = False) -> tuple[Perm, Perm, Perm]:
-    """Involution triple in S_n (odd n >= 5) with r1*r2 = (1,2,...,n).
+    """Involution triple in S_n (odd n, 5 <= n <= SYMMETRIC_MAX_N) with
+    r1*r2 = (1,2,...,n).
 
     The map triple has r0 = (1,2) so that <r0, r1 r2> is all of S_n and
     r0, r2 commute; the hypermap variant uses r0 = (2,3) instead, making
     the products r1*r2, r2*r0, r0*r1 have orders n, 4, 4.
     """
-    if n < 5 or n % 2 == 0:
-        raise BadFamilyParameterError("symmetric_generators needs odd n >= 5")
+    if n < 5 or n % 2 == 0 or n > SYMMETRIC_MAX_N:
+        raise BadFamilyParameterError(
+            f"symmetric_generators needs odd n with 5 <= n <= {SYMMETRIC_MAX_N}, not {n}"
+        )
     r0 = list(range(n))
     if hypermap:
         r0[1], r0[2] = 2, 1

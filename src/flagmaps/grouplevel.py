@@ -212,8 +212,10 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
             for g in group.elements
         )
         # flag 0 is the identity and automorphism(a)[0] the flag of a;
-        # the even words are the colour class of the identity
-        color = two_coloring(group.fs, fixed_break=True)
+        # the even words are the colour class of the identity.  No flag of
+        # a GroupMap is fixed (its generators are non-identity elements
+        # acting by right multiplication), so a colouring means closed.
+        color = two_coloring(group.fs)
         if color is None:
             raise NotOrientableCoverError("regular system is not orientable")
         reversing = color[group.automorphism(a)[0]] != color[0]

@@ -145,24 +145,15 @@ def orbits(generators: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
     output is deterministic.
     """
     check_degrees(generators, degree)
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in generators:
-        for x in range(degree):
-            rx, ry = find(x), find(g[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-    blocks: dict[int, list[int]] = {}
+    seen = [False] * degree
+    blocks = []
     for x in range(degree):
-        blocks.setdefault(find(x), []).append(x)
-    return [tuple(blocks[root]) for root in sorted(blocks)]
+        if not seen[x]:
+            block = tuple(sorted(orbit_of(generators, [x])))
+            for y in block:
+                seen[y] = True
+            blocks.append(block)
+    return blocks
 
 
 def orbit_of(generators: Sequence[Perm], points: Iterable[int]) -> set[int]:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .core import FlagSystem, _pair_walk, _reference, _tie
 from .covers import lift_automorphisms, orientable_double_cover
-from .perms import Perm, block_index, compose, identity, orbit_of
+from .perms import Perm, block_index, generate_closure, orbit_of
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,7 @@ class AutGroup:
 
     @cached_property
     def elements(self) -> frozenset[Perm]:
-        found = {0: identity(self.flags)}
-        queue = [found[0]]
-        for h in queue:
-            for g in self.generators:
-                if g[h[0]] not in found:
-                    p = compose(h, g)
-                    found[p[0]] = p
-                    queue.append(p)
-        return frozenset(found.values())
+        return frozenset(generate_closure(self.generators, degree=self.flags))
 
 
 @dataclass(frozen=True)

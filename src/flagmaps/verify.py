@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .census import CensusRecord, stability_census
+from .census import CensusRecord, analyze, stability_census
 from .core import (
     HYPERMAP,
     MAP,
@@ -40,8 +40,8 @@ from .families import (
 from .grouplevel import family_report, quotient_analysis, regular_cells, symmetric_model
 from .mapjson import parse, serialize
 from .operations import medial, petrie
-from .perms import compose, identity
-from .symmetry import automorphism_group, stability_report, symmetry_class
+from .perms import compose, identity, orbit_of
+from .symmetry import automorphism_group, stability_report
 
 
 @dataclass
@@ -106,19 +106,17 @@ def check_klein_bottle_quotient() -> CheckResult:
     e.eq("{4,4}_{2,2} flags", k.flags, 64)
     e.eq("|Aut {4,4}_{2,2}|", automorphism_group(k).order, 64)
     q = quotient_by(k, [identity(k.flags), glide_automorphism(k)])
-    inv = surface_invariants(q)
+    rec = analyze(q)
+    inv = rec.invariants
     e.eq("quotient flags", q.flags, 32)
     e.eq("quotient chi", inv.chi, 0)
     e.true("quotient non-orientable", not inv.orientable)
     e.true("quotient closed", not inv.has_boundary)
-    q_aut = automorphism_group(q)
-    rep = stability_report(q, q_aut)
-    sym = symmetry_class(q, q_aut)
-    e.eq("quotient aut order", rep.base_aut_order, 8)
-    e.true("quotient edge-transitive", sym.edge_transitive)
-    e.true("quotient not regular", not sym.regular)
-    e.eq("cover aut = 8 * base aut", rep.cover_aut_order, 8 * rep.base_aut_order)
-    e.eq("instability index", rep.instability_index, 4)
+    e.eq("quotient aut order", rec.aut_order, 8)
+    e.true("quotient edge-transitive", rec.edge_transitive)
+    e.true("quotient not regular", not rec.regular)
+    e.eq("cover aut = 8 * base aut", rec.cover_aut_order, 8 * rec.aut_order)
+    e.eq("instability index", rec.instability_index, 4)
     return e.result("klein-bottle-quotient")
 
 
@@ -141,28 +139,19 @@ def check_torus_glide_series() -> CheckResult:
     centralizer = sum(
         1 for h in torus_aut.elements if compose(h, glide) == compose(glide, h)
     )
-    qd = quotient_by(kd, [identity(kd.flags), glide])
-    qd_aut = automorphism_group(qd)
-    rep = stability_report(qd, qd_aut)
-    e.true("diag(2) quotient unstable", not rep.stable)
-    e.true(
-        "diag(2) quotient not edge-transitive",
-        not symmetry_class(qd, qd_aut).edge_transitive,
-    )
-    e.eq("diag(2) quotient aut order", rep.base_aut_order, 16)
-    e.eq("diag(2) glide centralizer = 2 * quotient aut", centralizer, 2 * rep.base_aut_order)
-    e.eq("diag(2) quotient edges", surface_invariants(qd).edges, 32)
+    qd = analyze(quotient_by(kd, [identity(kd.flags), glide]))
+    e.true("diag(2) quotient unstable", not qd.stable)
+    e.true("diag(2) quotient not edge-transitive", not qd.edge_transitive)
+    e.eq("diag(2) quotient aut order", qd.aut_order, 16)
+    e.eq("diag(2) glide centralizer = 2 * quotient aut", centralizer, 2 * qd.aut_order)
+    e.eq("diag(2) quotient edges", qd.invariants.edges, 32)
     e.eq("diag(2) |Aut torus|", torus_aut.order, 256)
-    e.eq("diag(2) cover aut = |Aut torus|", rep.cover_aut_order, torus_aut.order)
-    e.eq("diag(2) instability index", rep.instability_index, 8)
+    e.eq("diag(2) cover aut = |Aut torus|", qd.cover_aut_order, torus_aut.order)
+    e.eq("diag(2) instability index", qd.instability_index, 8)
     kr = torus_44("rect", 2)
-    qr = quotient_by(kr, [identity(kr.flags), glide_automorphism(kr)])
-    qr_aut = automorphism_group(qr)
-    e.true("rect(2) quotient unstable", not stability_report(qr, qr_aut).stable)
-    e.true(
-        "rect(2) quotient not edge-transitive",
-        not symmetry_class(qr, qr_aut).edge_transitive,
-    )
+    qr = analyze(quotient_by(kr, [identity(kr.flags), glide_automorphism(kr)]))
+    e.true("rect(2) quotient unstable", not qr.stable)
+    e.true("rect(2) quotient not edge-transitive", not qr.edge_transitive)
     return e.result("torus-glide-series")
 
 
@@ -344,22 +333,6 @@ def _involutions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _is_transitive(tables: tuple[tuple[int, ...], ...], n: int) -> bool:
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        f = stack.pop()
-        for t in tables:
-            x = t[f]
-            if not seen[x]:
-                seen[x] = True
-                count += 1
-                stack.append(x)
-    return count == n
-
-
 def naive_class_counts(max_flags: int, kind: str) -> dict[int, int]:
     """Brute-force oracle: enumerate every involution triple on exactly
     n points, filter transitivity (and the map relation), and count
@@ -380,7 +353,7 @@ def naive_class_counts(max_flags: int, kind: str) -> dict[int, int]:
         for g0, g2 in pairs:
             for g1 in invs:
                 tables = (g0, g1, g2)
-                if not _is_transitive(tables, n):
+                if len(orbit_of(tables, [0])) < n:
                     continue
                 codes.add(canonical_form(FlagSystem(kind, n, g0, g1, g2)))
         counts[n] = len(codes)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flagmaps.cli import main
 from flagmaps.core import FlagSystem, surface_invariants
 from flagmaps.errors import FlagmapsError
-from flagmaps.families import hosohedron, k6_projective, torus_44
+from flagmaps.families import SYMMETRIC_MAX_N, hosohedron, k6_projective, torus_44
 from flagmaps.mapjson import MapFormatError, parse, serialize
 from flagmaps.core import InvalidFlagSystemError
 
@@ -229,6 +229,16 @@ def test_cli_sym(capsys):
     assert main(["sym", "--n", "11", "--hypermap", "--format", "csv"]) == 0
     text = capsys.readouterr().out
     assert text.splitlines()[0].startswith("a,")
+
+
+def test_cli_sym_rejects_n_above_the_bound_before_any_work(capsys):
+    # n = 3 mod 4 past the bound; the check comes before any S_n model
+    for n in (SYMMETRIC_MAX_N + 4, 1579):
+        assert main(["sym", "--n", str(n)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(n) in err
+        assert "Traceback" not in err
 
 
 def test_cli_domain_error_exit_1(capsys):

@@ -77,6 +77,19 @@ def test_quotient_rejects_non_automorphism():
         quotient_by(h, [identity(h.flags), bad])
 
 
+def test_non_permutations_are_not_automorphisms():
+    """An image outside 0..flags-1 is rejected, not read as an index."""
+    h = hosohedron(3)
+    bad = (99,) * h.flags
+    with pytest.raises(NotAnAutomorphismError):
+        quotient_by(h, [identity(h.flags), bad])
+    with pytest.raises(NotAnAutomorphismError):
+        orientation_action(h, bad)
+    _, m = klein_bottle_map()
+    with pytest.raises(NotAnAutomorphismError):
+        lift_automorphisms(orientable_double_cover(m), (99,) * m.flags)
+
+
 def test_quotient_rejects_non_closed_set():
     k = torus_44("diag", 1)
     aut = automorphism_group(k)
@@ -114,6 +127,12 @@ def test_orientation_action_basics():
     _, m = klein_bottle_map()
     with pytest.raises(NotOrientableClosedError):
         orientation_action(m, identity(m.flags))
+    # an orientable disc: two-colourable, but its boundary leaves no orientation action
+    h = hosohedron(5)
+    disc = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
+    assert surface_invariants(disc).orientable
+    with pytest.raises(NotOrientableClosedError):
+        orientation_action(disc, identity(disc.flags))
 
 
 def test_lift_identity_gives_deck_pair():
