@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flagmaps.census import (
@@ -44,6 +46,14 @@ def test_emitted_systems_valid_and_self_canonical(map_census_8, hypermap_census_
     for rec in map_census_8 + hypermap_census_7:
         assert validate(rec.fs) == []
         assert canonical_form(rec.fs) == encode(rec.fs)
+
+
+def test_census_csvs_are_byte_identical(map_census_12, hypermap_census_10):
+    """The census CSVs for maps up to 12 flags and hypermaps up to 10,
+    pinned by the sha256 prefixes of their known-good output."""
+    for records, prefix in ((map_census_12, "46839a39e757"), (hypermap_census_10, "2ab246fc4263")):
+        digest = hashlib.sha256(census_csv(records).encode()).hexdigest()
+        assert digest[:12] == prefix
 
 
 def test_no_two_isomorphic(map_census_8, hypermap_census_7):
