@@ -3,8 +3,12 @@
 The search fills the three image tables slot by slot in (flag, generator)
 order, labelling new flags at first encounter; a class is a completed
 table equal to its own canonical form.  The search is orderly (Read 1978;
-McKay 1998): it cuts a partial table that another start labels smaller.
-Transitivity is built in; the map relation is forward-checked.
+McKay 1998): it cuts a partial table that another start labels smaller,
+and walks a start again only while it can still cut, that is while it
+ties or stopped at an open slot.  Transitivity is built in; the map
+relation is forward-checked.  At a completed table the starts still live
+are the images of flag 0 under Aut, so the base automorphism search of
+``analyze`` walks only those.
 """
 
 from __future__ import annotations
@@ -19,18 +23,31 @@ from .errors import BadBoundError
 from .symmetry import automorphism_group, stability_report, symmetry_class
 
 
-def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
     """The self-canonical BFS-labelled transitive involution triples on
     exactly n flags, one per isomorphism class, in increasing ``encode``
     order.  Slots are filled in the encoding's (flag, generator) order,
     and at slot (f, i) every flag below f is already paired, so the
     candidates (f itself, the open flags above it, the fresh flag) come
-    in increasing order.  Labels come from defined slots only, so a cut by
-    ``_self_canonical`` after an assignment holds in every completion."""
+    in increasing order.  Labels come from defined slots only, so a cut
+    after an assignment holds in every completion.
+
+    Each node carries its live starts: those that still tie the table or
+    stopped at an open slot.  A start that reads larger on a slot defined
+    on both sides reads larger in every completion, so it is dropped for
+    the whole subtree; a fresh flag joins as a start.  At a completed
+    table the live starts are the full ties, the images of flag 0 under
+    Aut other than 0, and the system records them for
+    ``automorphism_group``.  It also records itself as valid: every slot
+    is filled in involution pairs, the labelling from flag 0 makes it
+    connected, and the map relation is forward-checked.
+    """
+    map_kind = kind == MAP
     g = [[-1] * n, [-1] * n, [-1] * n]
     g0, g2 = g[0], g[2]
+    rows = tuple(zip(g, g))
     used = 1
-    out: list[tuple[tuple[int, ...], ...]] = []
+    out: list[FlagSystem] = []
 
     def relation_holds(x: int) -> bool:
         # g0[g2[x]] == g2[g0[x]] whenever every lookup is defined
@@ -46,7 +63,7 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
         b = g2[z]
         return b < 0 or a == b
 
-    def dfs(k: int) -> None:
+    def dfs(k: int, live: list[int]) -> None:
         nonlocal used
         while k < 3 * n:
             f, i = divmod(k, 3)
@@ -56,7 +73,10 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
                 break
             k += 1
         else:
-            out.append((tuple(g[0]), tuple(g[1]), tuple(g[2])))
+            fs = FlagSystem(kind, n, tuple(g[0]), tuple(g[1]), tuple(g[2]))
+            object.__setattr__(fs, "_ties", tuple(live))
+            object.__setattr__(fs, "_validated", True)
+            out.append(fs)
             return
         f, i = divmod(k, 3)
         table = g[i]
@@ -79,24 +99,35 @@ def _enumerate_tables(n: int, map_kind: bool) -> Iterator[tuple[tuple[int, ...],
                 if g[j][psi] >= 0:
                     affected.add(g[j][psi])
                 ok = all(relation_holds(x) for x in affected)
-            if ok and _self_canonical(g, used):
-                dfs(k + 1)
+            if ok:
+                kept = _live_starts(rows, live + [psi] if fresh else live)
+                if kept is not None:
+                    dfs(k + 1, kept)
             if fresh:
                 used -= 1
             table[psi] = -1
             table[f] = -1
 
-    dfs(0)
+    dfs(0, [])
     yield from out
+
+
+def _live_starts(rows, starts) -> list[int] | None:
+    """The starts that tie the BFS-labelled, possibly partial, table or
+    stop at an open slot, in order; None if one reads below it."""
+    live = []
+    for start in starts:
+        sign = _labelling(rows, start)[0]
+        if sign < 0:
+            return None
+        if sign < 2:
+            live.append(start)
+    return live
 
 
 def _self_canonical(tables: list[list[int]], n: int) -> bool:
     """Does no start read below the BFS-labelled, possibly partial, table?"""
-    rows = tuple(zip(tables, tables))
-    for start in range(1, n):
-        if _labelling(rows, start)[0] < 0:
-            return False
-    return True
+    return _live_starts(tuple(zip(tables, tables)), range(1, n)) is not None
 
 
 def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSystem]:
@@ -105,8 +136,7 @@ def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSyst
     if max_flags < 1:
         raise BadBoundError("max_flags must be >= 1")
     for n in range(1, max_flags + 1):
-        for tables in _enumerate_tables(n, kind == MAP):
-            yield FlagSystem(kind, n, *tables)
+        yield from _enumerate_tables(n, kind)
 
 
 @dataclass(frozen=True)

@@ -376,9 +376,14 @@ def encode(fs: FlagSystem) -> bytes:
 def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
     """Walk the breadth-first labelling from ``start`` over slots (p, g0),
     (p, g1), (p, g2), p = 0, 1, ..., against a reference labelled table,
-    ``rows`` = ((g0, row0), ...); a None row matches any label.  Returns the
-    sign of the first differing slot (0 on a full tie), labels and order.
-    On partial tables an open slot (-1) stops the walk undecided, sign +1."""
+    ``rows`` = ((g0, row0), ...); a None row matches any label.  Returns
+    why the walk stopped, labels and order.  The first value is 0 on a
+    full tie; at the first differing slot it is -1 if the walk reads
+    smaller, 2 if it reads larger with the slot defined on both sides,
+    and 1 if either side is open (-1) there.  An open slot reads label n,
+    above every label, so on partial tables it never reads smaller; a 2
+    is decided, for the slots before it are defined and equal, so it
+    holds in every completion."""
     new = [-1] * (len(rows[0][0]) + 1)
     new[-1] = len(new) - 1  # an open slot reads label n, above every row entry
     new[start] = 0
@@ -391,7 +396,8 @@ def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
                 lab = new[t] = len(order)
                 order.append(t)
             if row is not None and lab != row[p]:
-                return (-1 if lab < row[p] else 1), new, order
+                r = row[p]
+                return (-1 if lab < r else 2 if t >= 0 and r >= 0 else 1), new, order
     return 0, new, order
 
 

@@ -28,9 +28,14 @@ class NotOrientableClosedError(FlagmapsError):
 
 
 class NotAnAutomorphismError(FlagmapsError):
-    def __init__(self, element: Perm, generator: int, flag: int):
+    """``generator`` and ``flag`` name the first failure to commute; both
+    are -1 when the element is not a permutation of the ``flags`` flags."""
+
+    def __init__(self, element: Perm, generator: int, flag: int, flags: int = 0):
         super().__init__(
-            f"permutation fails to commute with generator r{generator} "
+            f"element is not a permutation of the {flags} flags"
+            if generator < 0
+            else f"permutation fails to commute with generator r{generator} "
             f"at flag {flag}"
         )
         self.element = element
@@ -57,7 +62,7 @@ def check_automorphism(fs: FlagSystem, h: Perm) -> None:
     """Raise NotAnAutomorphismError unless h is a permutation of the flags
     that commutes with every generator."""
     if len(h) != fs.flags or not is_perm(h):
-        raise NotAnAutomorphismError(h, -1, -1)
+        raise NotAnAutomorphismError(h, -1, -1, fs.flags)
     for i, g in enumerate(fs.gens):
         for f in range(fs.flags):
             if h[g[f]] != g[h[f]]:
@@ -177,7 +182,7 @@ def lift_automorphisms(dc: DoubleCover, aut: Perm) -> tuple[Perm, Perm]:
     check_automorphism(base, aut)
     lift = _tie(_reference(dc.cover), aut[0])
     if lift is None:
-        raise NotAnAutomorphismError(aut, -1, -1)
+        raise FlagmapsError("automorphism has no lift to the double cover")
     assert all(dc.projection[lift[f]] == aut[dc.projection[f]] for f in range(2 * n))
     other = compose(dc.deck, lift)
     assert compose(lift, dc.deck) == other  # lifts commute with the deck

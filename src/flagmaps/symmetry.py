@@ -59,12 +59,18 @@ class StabilityReport:
 
 
 def automorphism_group(fs: FlagSystem) -> AutGroup:
-    """All flag permutations commuting with the three generators."""
+    """All flag permutations commuting with the three generators.
+
+    A census class records the ties of its completed table, the images of
+    flag 0 other than 0; the search then walks only those starts, with the
+    same orbit skipping, so it finds the same images and generators.
+    """
     fs.require_valid()
     reference = _reference(fs)
     generators: list[Perm] = []
     orbit = {0}
-    for start in range(1, fs.flags):
+    starts = getattr(fs, "_ties", None)
+    for start in range(1, fs.flags) if starts is None else starts:
         h = None if start in orbit else _tie(reference, start)
         if h is not None:
             generators.append(h)

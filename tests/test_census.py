@@ -11,6 +11,7 @@ from flagmaps.census import (
 from flagmaps.core import (
     HYPERMAP,
     MAP,
+    FlagSystem,
     canonical_form,
     encode,
     surface_invariants,
@@ -19,6 +20,7 @@ from flagmaps.core import (
 from flagmaps.covers import orientable_double_cover
 from flagmaps.errors import FlagmapsError
 from flagmaps.perms import orbits
+from flagmaps.symmetry import automorphism_group
 from flagmaps.verify import naive_class_counts
 
 
@@ -42,10 +44,23 @@ def test_enumeration_deterministic(map_census_8):
     assert census_csv(again) == census_csv(map_census_8)
 
 
-def test_emitted_systems_valid_and_self_canonical(map_census_8, hypermap_census_7):
-    for rec in map_census_8 + hypermap_census_7:
+def test_emitted_systems_valid_and_self_canonical(map_census_12, hypermap_census_7):
+    # validate directly: require_valid returns at once on census output
+    for rec in map_census_12 + hypermap_census_7:
         assert validate(rec.fs) == []
         assert canonical_form(rec.fs) == encode(rec.fs)
+
+
+def test_leaf_ties_give_the_automorphism_group(map_census_8, hypermap_census_7):
+    """The census hands each class the ties of its completed table; the
+    group they give equals a fresh search on a copy, generators included."""
+    for rec in map_census_8 + hypermap_census_7:
+        fs = rec.fs
+        aut = automorphism_group(fs)
+        fresh = automorphism_group(FlagSystem(fs.kind, fs.flags, *fs.gens))
+        assert (0,) + fs._ties == aut.images
+        assert aut == fresh
+        assert aut.generators == fresh.generators
 
 
 def test_census_csvs_are_byte_identical(map_census_12, hypermap_census_10):

@@ -302,7 +302,9 @@ def test_validate_reports_component_sizes(kind, sizes, rng):
        st.sampled_from(["walked", "reference", "both"]), st.data())
 def test_labelling_on_partial_tables_cuts_only_what_completion_cuts(kind, size, rng, side, data):
     """A start may read smaller than the reference on partial tables only
-    if it does on the complete ones: an open slot never decides a cut."""
+    if it does on the complete ones: an open slot never decides a cut.
+    A start decided larger (2) on partial tables reads larger on the
+    complete ones too, so the census may drop it for the whole subtree."""
     fs = _random_system(rng, kind, size)
     n = fs.flags
     cut = data.draw(st.integers(0, 3 * n))
@@ -315,8 +317,11 @@ def test_labelling_on_partial_tables_cuts_only_what_completion_cuts(kind, size, 
     complete = tuple(zip(fs.gens, fs.gens))
     partial = tuple(zip(walked, reference))
     for start in range(n):
-        if _labelling(partial, start)[0] < 0:
+        sign = _labelling(partial, start)[0]
+        if sign < 0:
             assert _labelling(complete, start)[0] < 0
+        elif sign == 2:
+            assert _labelling(complete, start)[0] == 2
 
 
 def _assert_no_prefix_cut(tables):

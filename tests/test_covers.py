@@ -73,16 +73,24 @@ def test_quotient_trivial_subgroup():
 def test_quotient_rejects_non_automorphism():
     h = hosohedron(3)
     bad = tuple([1, 0] + list(range(2, h.flags)))
-    with pytest.raises(NotAnAutomorphismError):
+    with pytest.raises(NotAnAutomorphismError) as info:
         quotient_by(h, [identity(h.flags), bad])
+    err = info.value
+    g = h.gen(err.generator)
+    assert bad[g[err.flag]] != g[bad[err.flag]]
+    assert str(err) == (
+        f"permutation fails to commute with generator r{err.generator} at flag {err.flag}"
+    )
 
 
 def test_non_permutations_are_not_automorphisms():
     """An image outside 0..flags-1 is rejected, not read as an index."""
     h = hosohedron(3)
     bad = (99,) * h.flags
-    with pytest.raises(NotAnAutomorphismError):
-        quotient_by(h, [identity(h.flags), bad])
+    for element in (bad, (0, 1)):
+        with pytest.raises(NotAnAutomorphismError) as info:
+            quotient_by(h, [identity(h.flags), element])
+        assert str(info.value) == "element is not a permutation of the 12 flags"
     with pytest.raises(NotAnAutomorphismError):
         orientation_action(h, bad)
     _, m = klein_bottle_map()
