@@ -18,8 +18,9 @@ import io
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import MAP, FlagSystem, SurfaceInvariants, _labelling, encode, surface_invariants
-from .errors import BadBoundError
+from .core import HYPERMAP, MAP, FlagSystem, SurfaceInvariants, _labelling, _valid
+from .core import encode, surface_invariants
+from .errors import BadBoundError, FlagmapsError
 from .symmetry import automorphism_group, stability_report, symmetry_class
 
 
@@ -38,9 +39,17 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
     the whole subtree; a fresh flag joins as a start.  At a completed
     table the live starts are the full ties, the images of flag 0 under
     Aut other than 0, and the system records them for
-    ``automorphism_group``.  It also records itself as valid: every slot
-    is filled in involution pairs, the labelling from flag 0 makes it
-    connected, and the map relation is forward-checked.
+    ``automorphism_group``.
+
+    A completed table is valid by construction, so it is recorded as such
+    (``core._valid``).  The kind is one of the two and n >= 1
+    (``enumerate_flag_systems`` checks both).  Each slot is filled
+    together with its partner, table[f] = psi and table[psi] = f, so each
+    table is an involution.  Every flag but 0 is labelled when a slot
+    first reaches it, and a table completes only when all n are labelled,
+    so the flags are connected.  For a map, every assignment keeps
+    g0 g2 = g2 g0 wherever both sides are defined, so the completed table
+    satisfies the map relation.
     """
     map_kind = kind == MAP
     g = [[-1] * n, [-1] * n, [-1] * n]
@@ -73,9 +82,8 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
                 break
             k += 1
         else:
-            fs = FlagSystem(kind, n, tuple(g[0]), tuple(g[1]), tuple(g[2]))
+            fs = _valid(FlagSystem(kind, n, tuple(g[0]), tuple(g[1]), tuple(g[2])))
             object.__setattr__(fs, "_ties", tuple(live))
-            object.__setattr__(fs, "_validated", True)
             out.append(fs)
             return
         f, i = divmod(k, 3)
@@ -135,6 +143,8 @@ def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSyst
     isomorphism class, ordered by flag count then canonical code."""
     if max_flags < 1:
         raise BadBoundError("max_flags must be >= 1")
+    if kind not in (MAP, HYPERMAP):
+        raise FlagmapsError("kind must be 'map' or 'hypermap'")
     for n in range(1, max_flags + 1):
         yield from _enumerate_tables(n, kind)
 

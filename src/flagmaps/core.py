@@ -70,9 +70,6 @@ class FlagSystem:
     def gen(self, i: int) -> Perm:
         return self.gens[i]
 
-    def validate(self) -> list[Violation]:
-        return validate(self)
-
     def require_valid(self) -> "FlagSystem":
         # validation result cached on the (immutable) instance
         if getattr(self, "_validated", False):
@@ -80,8 +77,16 @@ class FlagSystem:
         violations = validate(self)
         if violations:
             raise InvalidFlagSystemError(violations)
-        object.__setattr__(self, "_validated", True)
-        return self
+        return _valid(self)
+
+
+def _valid(fs: FlagSystem) -> FlagSystem:
+    """Record ``fs`` as valid, so that ``require_valid`` returns at once;
+    returns ``fs``.  Only for a construction whose docstring proves its
+    output valid: a known kind, at least one flag, three involutions, a
+    connected flag set and, for a map, the map relation."""
+    object.__setattr__(fs, "_validated", True)
+    return fs
 
 
 def validate(fs: FlagSystem) -> list[Violation]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import FlagSystem, _reference, _tie, canonical_form, two_coloring
+from .core import FlagSystem, _valid, canonical_form, two_coloring
 from .errors import FlagmapsError
 from .perms import Perm, block_index, compose, identity, is_perm, orbits
 
@@ -49,13 +49,25 @@ class NotClosedError(FlagmapsError):
 
 @dataclass(frozen=True)
 class DoubleCover:
+    """A double cover in the sheet layout: cover flag f is (f, +) and
+    f + n is (f, -), for the n flags of the base."""
+
     cover: FlagSystem
-    deck: Perm
-    projection: tuple[int, ...]
 
     @property
     def base_flags(self) -> int:
         return self.cover.flags // 2
+
+    @property
+    def deck(self) -> Perm:
+        """The involution (f, s) -> (f, -s)."""
+        n = self.base_flags
+        return tuple(range(n, 2 * n)) + tuple(range(n))
+
+    @property
+    def projection(self) -> tuple[int, ...]:
+        """(f, s) -> f."""
+        return tuple(range(self.base_flags)) * 2
 
 
 def check_automorphism(fs: FlagSystem, h: Perm) -> None:
@@ -81,10 +93,24 @@ def _closed_coloring(fs: FlagSystem) -> list[int] | None:
 def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
     """Build the canonical orientable boundary-free double cover.
 
-    Cover flags are indexed (f, +) = f and (f, -) = f + F.  Raises
+    Cover flags are indexed (f, +) = f and (f, -) = f + F, and a cover
+    generator sends (f, s) to (g f, -s).  Raises
     AlreadyOrientableClosedError when the input is orientable with empty
     boundary, in which case the construction would fall apart into two
     copies of the input.
+
+    The cover of a valid input is valid by construction (``core._valid``):
+    - it has the input's kind and twice its flags;
+    - (f, s) -> (g f, -s) -> (g g f, s) = (f, s), so each generator is an
+      involution;
+    - for a map, g0 g2 and g2 g0 both send (f, s) to (g0 g2 f, s);
+    - it is connected.  The orbit O of (0, +) projects onto every base
+      flag, because the base is connected.  The deck involution maps O to
+      the orbit of (0, -); if those meet, O is everything.  Otherwise O
+      holds exactly one (f, s) per flag, and s is a two-colouring that
+      every generator step alternates, with no fixed flag, since (f, s)
+      and (f, -s) would be neighbours.  Then the input would be orientable
+      with empty boundary, which was rejected.
     """
     fs.require_valid()
     if _closed_coloring(fs) is not None:
@@ -99,11 +125,7 @@ def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
             img[f] = g[f] + n
             img[f + n] = g[f]
         tables.append(tuple(img))
-    cover = FlagSystem(fs.kind, 2 * n, *tables)
-    cover.require_valid()  # connectivity holds exactly because doubling was legal
-    deck = tuple(list(range(n, 2 * n)) + list(range(n)))
-    projection = tuple(f % n for f in range(2 * n))
-    return DoubleCover(cover=cover, deck=deck, projection=projection)
+    return DoubleCover(_valid(FlagSystem(fs.kind, 2 * n, *tables)))
 
 
 def quotient_by(fs: FlagSystem, subgroup: Iterable[Perm]) -> FlagSystem:
@@ -114,6 +136,16 @@ def quotient_by(fs: FlagSystem, subgroup: Iterable[Perm]) -> FlagSystem:
     Orbits are relabelled by minimum flag, so the result is
     deterministic.  The quotient acquires a boundary exactly where a
     generator maps a flag into its own orbit nontrivially.
+
+    The quotient of a valid input is valid by construction
+    (``core._valid``).  An automorphism h commutes with each generator g,
+    so g sends the orbit of f to the orbit of g f, whichever flag of the
+    orbit it is read at; the quotient generator is therefore well defined,
+    and it is an involution because g is.  For a map, g0 g2 = g2 g0 on
+    flags gives the same on orbits.  The flags map onto the orbits and
+    generator steps map to generator steps, so the connected input gives
+    a connected quotient.  The kind is the input's, and there is at least
+    one orbit.
     """
     fs.require_valid()
     elements = list(dict.fromkeys(tuple(h) for h in subgroup))
@@ -140,9 +172,7 @@ def quotient_by(fs: FlagSystem, subgroup: Iterable[Perm]) -> FlagSystem:
     for g in fs.gens:
         img = tuple(block_of[g[block[0]]] for block in blocks)
         tables.append(img)
-    result = FlagSystem(fs.kind, len(blocks), *tables)
-    result.require_valid()
-    return result
+    return _valid(FlagSystem(fs.kind, len(blocks), *tables))
 
 
 def orientation_action(fs: FlagSystem, aut: Perm) -> str:
@@ -167,26 +197,20 @@ def orientation_action(fs: FlagSystem, aut: Perm) -> str:
 
 
 def lift_automorphisms(dc: DoubleCover, aut: Perm) -> tuple[Perm, Perm]:
-    """The two cover automorphisms projecting to a base automorphism.
+    """The two cover automorphisms projecting to a base automorphism h = aut:
+    (f, s) -> (h f, s), and its product with the deck, (f, s) -> (h f, -s).
 
-    They differ by composition with the deck involution and both
-    commute with it.  The first is the tie of the labellings from cover
-    flags 0 and aut[0].
+    A cover generator sends (f, s) to (g f, -s), so the first commutes
+    with it exactly when h commutes with g.  It is checked on the cover,
+    where the first failure lies on the + sheet, at the generator and
+    base flag where h itself first fails to commute.
     """
     n = dc.base_flags
-    base = FlagSystem(
-        dc.cover.kind,
-        n,
-        *(tuple(dc.projection[g[f]] for f in range(n)) for g in dc.cover.gens),
-    )
-    check_automorphism(base, aut)
-    lift = _tie(_reference(dc.cover), aut[0])
-    if lift is None:
-        raise FlagmapsError("automorphism has no lift to the double cover")
-    assert all(dc.projection[lift[f]] == aut[dc.projection[f]] for f in range(2 * n))
-    other = compose(dc.deck, lift)
-    assert compose(lift, dc.deck) == other  # lifts commute with the deck
-    return lift, other
+    if len(aut) != n or not is_perm(aut):
+        raise NotAnAutomorphismError(aut, -1, -1, n)
+    lift = tuple(aut) + tuple(h + n for h in aut)
+    check_automorphism(dc.cover, lift)
+    return lift, lift[n:] + lift[:n]
 
 
 def cover_round_trip_ok(fs: FlagSystem) -> bool:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import MAP, FlagSystem, fixed_flag_counts
+from .core import MAP, FlagSystem, _valid, fixed_flag_counts
 from .errors import FlagmapsError
 from .perms import compose
 
@@ -49,6 +49,13 @@ def medial(fs: FlagSystem) -> FlagSystem:
     surface.  That is (E, 2E, V+F), with every vertex 4-valent, exactly
     when there are no free edges (edge cells of two flags, g0 = g2):
     each free edge gives a 2-valent medial vertex and one edge fewer.
+
+    The medial of a valid map is a valid map by construction
+    (``core._valid``).  g0* and g1* are involutions on each side because
+    g1, g2 and g0 are, and g2* swaps the sides.  g0* g2* and g2* g0* both
+    send (f, c) to (f g1, 1-c).  From (f, 0) the steps g1*, g0* and
+    g2* g1* g2* reach (f g2, 0), (f g1, 0) and (f g0, 0), so side 0 is
+    connected like the input, and g2* joins side 1 to it.
     """
     fs.require_valid()
     if fs.kind != MAP:
@@ -66,5 +73,4 @@ def medial(fs: FlagSystem) -> FlagSystem:
             g0[m] = fs.g1[f] + c * n
             g1[m] = fs.g2[f] if c == 0 else fs.g0[f] + n
             g2[m] = f + (1 - c) * n
-    # the derived rules must yield involutions and a commuting g0*/g2* pair
-    return FlagSystem(MAP, size, tuple(g0), tuple(g1), tuple(g2)).require_valid()
+    return _valid(FlagSystem(MAP, size, tuple(g0), tuple(g1), tuple(g2)))

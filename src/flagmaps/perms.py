@@ -40,6 +40,10 @@ class CycleParseError(FlagmapsError):
     """Malformed cycle-notation string."""
 
 
+class NotAPermutationError(FlagmapsError):
+    """A sequence given as a permutation is not one of its own indices."""
+
+
 def identity(degree: int) -> Perm:
     return tuple(range(degree))
 
@@ -52,6 +56,14 @@ def is_perm(images: Sequence[int]) -> bool:
             return False
         seen[x] = True
     return True
+
+
+def check_perms(perms: Iterable[Sequence[int]]) -> None:
+    """Raise NotAPermutationError unless each is a permutation of
+    0..len - 1."""
+    for p in perms:
+        if not is_perm(p):
+            raise NotAPermutationError(f"not a permutation of 0..{len(p) - 1}")
 
 
 def check_degrees(perms: Iterable[Perm], degree: int | None = None) -> int:
@@ -145,6 +157,7 @@ def orbits(generators: Sequence[Perm], degree: int) -> list[tuple[int, ...]]:
     output is deterministic.
     """
     check_degrees(generators, degree)
+    check_perms(generators)
     seen = [False] * degree
     blocks = []
     for x in range(degree):
@@ -192,6 +205,7 @@ def generate_closure(
     if cap <= 0:
         raise BadBoundError("cap must be positive")
     degree = check_degrees(generators, degree)
+    check_perms(generators)
     ident = identity(degree)
     elements: set[Perm] = {ident}
     frontier = [ident]
@@ -252,6 +266,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Perm:
 
 def format_cycles(p: Perm) -> str:
     """1-based cycle notation with fixed points omitted; identity is "()"."""
+    check_perms([p])
     cycs = cycles(p)
     if not cycs:
         return "()"

@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .core import FlagSystem, _pair_walk, _reference, _tie
 from .covers import lift_automorphisms, orientable_double_cover
+from .errors import FlagmapsError
 from .perms import Perm, block_index, generate_closure, orbit_of
 
 
@@ -78,6 +79,18 @@ def automorphism_group(fs: FlagSystem) -> AutGroup:
     return AutGroup(fs.flags, tuple(sorted(orbit)), tuple(generators))
 
 
+def _group_of(fs: FlagSystem, aut: AutGroup | None) -> AutGroup:
+    """``aut`` if given, else the automorphism group of ``fs``, a valid
+    system; a given group must be on as many flags as ``fs``."""
+    if aut is None:
+        return automorphism_group(fs)
+    if aut.flags != fs.flags:
+        raise FlagmapsError(
+            f"automorphism group on {aut.flags} flags given for a system on {fs.flags}"
+        )
+    return aut
+
+
 def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass:
     """Regularity and edge-transitivity of the automorphism action.
 
@@ -85,8 +98,8 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
     edge-regular means transitive on edge cells with order equal to the
     edge count.
     """
-    if aut is None:
-        aut = automorphism_group(fs)
+    fs.require_valid()
+    aut = _group_of(fs, aut)
     regular = aut.order == fs.flags
     eblocks, _ = _pair_walk(fs, 0, 2)
     cell_of = block_index(eblocks, fs.flags)
@@ -112,9 +125,8 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     cover search, and 2 * |Aut base| divides |Aut cover|, so that the
     index is an integer.
     """
-    dc = orientable_double_cover(fs)
-    if aut is None:
-        aut = automorphism_group(fs)
+    dc = orientable_double_cover(fs)  # validates fs
+    aut = _group_of(fs, aut)
     lifted = [lift_automorphisms(dc, h)[0] for h in aut.generators] + [dc.deck]
     cover_aut = automorphism_group(dc.cover)
     lifted_orbit = orbit_of(lifted, [0])

@@ -150,3 +150,10 @@ def test_enumerate_rejects_bad_bound():
         list(enumerate_flag_systems(0, HYPERMAP))
     with pytest.raises(FlagmapsError):
         stability_census(-1, MAP)
+
+
+def test_enumerate_rejects_an_unknown_kind():
+    """Census classes are recorded valid without a check, so the kind is
+    checked where it enters."""
+    with pytest.raises(FlagmapsError, match="kind must be"):
+        list(enumerate_flag_systems(3, "maps"))

@@ -1,11 +1,25 @@
-import pytest
+import random
 
-from flagmaps.core import is_isomorphic, surface_invariants
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagmaps.core import (
+    HYPERMAP,
+    MAP,
+    _reference,
+    _tie,
+    fixed_flag_counts,
+    is_isomorphic,
+    surface_invariants,
+    two_coloring,
+    validate,
+)
 from flagmaps.covers import (
     AlreadyOrientableClosedError,
     NotAnAutomorphismError,
     NotClosedError,
     NotOrientableClosedError,
+    check_automorphism,
     cover_round_trip_ok,
     lift_automorphisms,
     orientable_double_cover,
@@ -19,8 +33,10 @@ from flagmaps.families import (
     semi_star,
     torus_44,
 )
+from flagmaps.operations import medial
 from flagmaps.perms import compose, identity, is_involution
 from flagmaps.symmetry import automorphism_group
+from test_core import _random_system
 
 
 def klein_bottle_map():
@@ -94,8 +110,10 @@ def test_non_permutations_are_not_automorphisms():
     with pytest.raises(NotAnAutomorphismError):
         orientation_action(h, bad)
     _, m = klein_bottle_map()
-    with pytest.raises(NotAnAutomorphismError):
-        lift_automorphisms(orientable_double_cover(m), (99,) * m.flags)
+    for element in ((99,) * m.flags, (0, 1)):
+        with pytest.raises(NotAnAutomorphismError) as info:
+            lift_automorphisms(orientable_double_cover(m), element)
+        assert str(info.value) == f"element is not a permutation of the {m.flags} flags"
 
 
 def test_quotient_rejects_non_closed_set():
@@ -178,3 +196,61 @@ def test_round_trip_on_families(k6):
     ]
     for fs in cases:
         assert cover_round_trip_ok(fs)
+
+
+def _covered(map_census_8, hypermap_census_7):
+    return [rec.fs for rec in map_census_8 + hypermap_census_7 if rec.stable is not None]
+
+
+def test_lifts_are_the_cover_ties(map_census_8, hypermap_census_7):
+    """The lift written down by formula is the automorphism of the cover
+    that the labelling kernel finds from the image of flag 0."""
+    lifted = 0
+    for fs in _covered(map_census_8, hypermap_census_7):
+        dc = orientable_double_cover(fs)
+        reference = _reference(dc.cover)
+        for h in automorphism_group(fs).elements:
+            lift, other = lift_automorphisms(dc, h)
+            assert lift == _tie(reference, h[0])
+            assert other == compose(dc.deck, lift) == compose(lift, dc.deck)
+            lifted += 1
+    assert lifted > 2000
+
+
+def test_lift_fails_where_the_base_fails_to_commute(map_census_8, hypermap_census_7):
+    """A base permutation that is no automorphism is rejected by its lift
+    at the generator and base flag that the check on the base names."""
+    rng = random.Random(20)
+    failed = 0
+    for fs in _covered(map_census_8, hypermap_census_7):
+        dc = orientable_double_cover(fs)
+        for _ in range(3):
+            h = list(range(fs.flags))
+            rng.shuffle(h)
+            try:
+                check_automorphism(fs, tuple(h))
+            except NotAnAutomorphismError as base:
+                with pytest.raises(NotAnAutomorphismError) as info:
+                    lift_automorphisms(dc, tuple(h))
+                assert (info.value.generator, info.value.flag) == (base.generator, base.flag)
+                assert str(info.value) == str(base)
+                failed += 1
+    assert failed > 5000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 30), st.randoms(use_true_random=False))
+def test_constructions_valid_by_proof_pass_validate(kind, size, rng):
+    """The cover, the quotients and the medial are recorded valid without a
+    check, by the proofs in their docstrings; validate agrees."""
+    fs = _random_system(rng, kind, size)
+    assert validate(quotient_by(fs, automorphism_group(fs).elements)) == []
+    closed = fs
+    if any(fixed_flag_counts(fs)) or two_coloring(fs) is None:
+        dc = orientable_double_cover(fs)
+        closed = dc.cover
+        assert validate(closed) == []
+        for elements in ([identity(closed.flags), dc.deck], automorphism_group(closed).elements):
+            assert validate(quotient_by(closed, elements)) == []
+    if kind == MAP:
+        assert validate(medial(closed)) == []

@@ -10,6 +10,7 @@ from flagmaps.perms import (
     ClosureOverflowError,
     CycleParseError,
     DegreeMismatchError,
+    NotAPermutationError,
     compose,
     cycle_type,
     format_cycles,
@@ -177,3 +178,16 @@ def test_cycle_parse_errors():
         parse_cycles("(1,2)(2,3)", 3)  # repeated point
     with pytest.raises(CycleParseError):
         parse_cycles("(1,5)", 3)  # exceeds degree
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: generate_closure([p]),
+    lambda p: orbits([identity(len(p)), p], len(p)),
+    lambda p: format_cycles(p),
+], ids=["generate_closure", "orbits", "format_cycles"])
+@pytest.mark.parametrize("p", [(5, 5), (0, 0), (1, -1), (0, 1.0)])
+def test_public_functions_reject_a_non_permutation(call, p):
+    with pytest.raises(NotAPermutationError) as info:
+        call(p)
+    assert isinstance(info.value, FlagmapsError)
+    assert str(info.value) == "not a permutation of 0..1"

@@ -23,7 +23,8 @@ from flagmaps.families import (
     torus_44,
 )
 from flagmaps import symmetry
-from flagmaps.core import edge_cells, surface_invariants
+from flagmaps.core import MAP, FlagSystem, InvalidFlagSystemError, edge_cells, surface_invariants
+from flagmaps.errors import FlagmapsError
 from flagmaps.perms import block_index, compose, identity
 from flagmaps.symmetry import (
     AutGroup,
@@ -223,3 +224,19 @@ def test_stability_report_reuses_the_given_base_group(map_census_8, hypermap_cen
         assert stability_report(rec.fs, aut) == stability_report(rec.fs)
         checked += 1
     assert checked > 100
+
+
+def test_a_given_group_is_checked_against_its_system():
+    """A group on the wrong number of flags, or an invalid system, is an
+    error, not a verdict or an IndexError."""
+    small = AutGroup(4, (0,), ())
+    with pytest.raises(FlagmapsError, match="on 4 flags given for a system on 12"):
+        symmetry_class(hosohedron(3), small)
+    h = hosohedron(3)
+    disc = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
+    with pytest.raises(FlagmapsError, match="on 4 flags given for a system on 6"):
+        stability_report(disc, small)
+    not_involution = FlagSystem(MAP, 4, (1, 2, 3, 0), identity(4), identity(4))
+    for check in (symmetry_class, stability_report):
+        with pytest.raises(InvalidFlagSystemError):
+            check(not_involution, small)
