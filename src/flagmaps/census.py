@@ -133,11 +133,6 @@ def _live_starts(rows, starts) -> list[int] | None:
     return live
 
 
-def _self_canonical(tables: list[list[int]], n: int) -> bool:
-    """Does no start read below the BFS-labelled, possibly partial, table?"""
-    return _live_starts(tuple(zip(tables, tables)), range(1, n)) is not None
-
-
 def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSystem]:
     """Every valid system with at most max_flags flags, one per
     isomorphism class, ordered by flag count then canonical code."""

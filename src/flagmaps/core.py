@@ -348,7 +348,7 @@ def boundary_components(fs: FlagSystem) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form, isomorphism, relabeling
+# Canonical form, automorphisms, isomorphism, relabeling
 
 
 def relabel(fs: FlagSystem, perm: Perm) -> FlagSystem:
@@ -406,38 +406,68 @@ def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
     return 0, new, order
 
 
+def _search(fs: FlagSystem, starts=None) -> tuple[tuple[Perm, ...], list[Perm]]:
+    """The least breadth-first labelling from flag 0 and ``starts`` (every
+    flag when None), as image tables, and generators of Aut.
+
+    The reference is the labelling from flag 0, or the table itself for a
+    census class, which records ``_ties``.  A start that reads below the
+    reference replaces it.  A full tie, order0[k] -> order[k], that is
+    x -> order[labels[x]], commutes with every generator: a generator.
+    Starts in the orbit of a tried start under the ties so far label alike
+    and are skipped; the orbit is closed after a new reference or a tie.
+
+    The ties generate Aut when every image of b*, the start of the final
+    reference, is 0 or a start, as for ``starts=None`` and the census
+    ties.  No image of b* comes before b*: it would label least too, and
+    be walked, or be skipped for an earlier walked start that does.  Let
+    G be generated by the ties and x the first image of b* outside G b*.
+    Skipped, x would lie in the orbit of an earlier tried start under
+    earlier ties; that start is an image of b* before x, so it and x lie
+    in G b*.  So x is walked after b*, ties, and its tie sends b* to x, a
+    contradiction.  Hence G b* = Aut b*, and as Aut acts semiregularly,
+    G = Aut.  A new tie sends the reference start, which is tried,
+    outside its orbit under the earlier ties, so the group at least
+    doubles: len(generators) <= log2(order).
+    """
+    n = fs.flags
+
+    def labelled(start):  # the labels from start and the tables they label
+        _, labels, order = _labelling(tuple((g, None) for g in fs.gens), start)
+        return labels, tuple(tuple([labels[g[f]] for f in order]) for g in fs.gens)
+
+    if hasattr(fs, "_ties"):
+        labels, best = range(n), fs.gens
+    else:
+        labels, best = labelled(0)
+    rows = tuple(zip(fs.gens, best))
+    generators: list[Perm] = []
+    tried, skip = [0], {0}
+    for start in range(1, n) if starts is None else starts:
+        if start in skip:
+            continue
+        tried.append(start)
+        sign, _, order = _labelling(rows, start)
+        if sign > 0:
+            continue
+        if sign < 0:
+            labels, best = labelled(start)
+            rows = tuple(zip(fs.gens, best))
+        else:
+            generators.append(tuple([order[k] for k in labels[:n]]))
+        skip = orbit_of(generators, tried)
+    return best, generators
+
+
 def canonical_form(fs: FlagSystem) -> bytes:
-    """Least encoding over breadth-first relabelings from every start flag.
+    """Least encoding over breadth-first relabelings from every start flag,
+    the labelling that ``_search`` returns.
 
     Equal canonical forms characterize isomorphism (a flag bijection
-    commuting with the respective generators, matched by index).  Starts
-    are abandoned at their first slot above the least labelling so far.  A
-    tie is an automorphism, best order[k] -> order[k]; starts in the orbit
-    of a tried start under the automorphisms found are skipped.
+    commuting with the respective generators, matched by index).
     """
     fs.require_valid()
-    free = tuple((g, None) for g in fs.gens)
-    rows = ((fs.g0, (fs.flags,)),)  # above every labelling: no flag has label n
-    orbit = list(range(fs.flags))  # union-find; a root is its orbit's least flag
-
-    def root(x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = x = orbit[orbit[x]]
-        return x
-
-    for start in range(fs.flags):
-        if root(start) < start:
-            continue
-        sign, _, order = _labelling(rows, start)
-        if sign < 0:
-            _, new, best_order = _labelling(free, start)
-            best = relabel(fs, new)
-            rows = tuple(zip(fs.gens, best.gens))
-        elif sign == 0:
-            for x, y in zip(best_order, order):
-                x, y = root(x), root(y)
-                orbit[max(x, y)] = min(x, y)
-    return encode(best)
+    return encode(FlagSystem(fs.kind, fs.flags, *_search(fs)[0]))
 
 
 def is_isomorphic(a: FlagSystem, b: FlagSystem) -> bool:
@@ -450,33 +480,6 @@ def is_isomorphic(a: FlagSystem, b: FlagSystem) -> bool:
     _, new, _ = _labelling(tuple((g, None) for g in a.gens), 0)
     rows = tuple(zip(b.gens, relabel(a, new).gens))
     return any(_labelling(rows, start)[0] == 0 for start in range(b.flags))
-
-
-# ---------------------------------------------------------------------------
-# Automorphisms as ties of the labelling kernel (shared by symmetry and covers)
-
-
-def _reference(fs: FlagSystem) -> tuple[list[int], tuple]:
-    """The breadth-first order from flag 0 and the reference rows it labels,
-    against which ``_tie`` walks other starts."""
-    _, new, order = _labelling(tuple((g, None) for g in fs.gens), 0)
-    return order, tuple((g, [new[g[f]] for f in order]) for g in fs.gens)
-
-
-def _tie(reference: tuple[list[int], tuple], start: int) -> Perm | None:
-    """The automorphism sending flag 0 to ``start``, or None if none does.
-
-    A full tie of the labelling from ``start`` with the reference agrees
-    slot by slot, so order0[k] -> order[k] commutes with every generator.
-    """
-    order0, rows = reference
-    sign, _, order = _labelling(rows, start)
-    if sign:
-        return None
-    h = [0] * len(order0)
-    for x, y in zip(order0, order):
-        h[x] = y
-    return tuple(h)
 
 
 # ---------------------------------------------------------------------------

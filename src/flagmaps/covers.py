@@ -64,11 +64,6 @@ class DoubleCover:
         n = self.base_flags
         return tuple(range(n, 2 * n)) + tuple(range(n))
 
-    @property
-    def projection(self) -> tuple[int, ...]:
-        """(f, s) -> f."""
-        return tuple(range(self.base_flags)) * 2
-
 
 def check_automorphism(fs: FlagSystem, h: Perm) -> None:
     """Raise NotAnAutomorphismError unless h is a permutation of the flags

@@ -10,7 +10,7 @@ Encodings:
   with darts +x,+y,-x,-y indexed 0..3 and side 0=L (counterclockwise).
 * reflection_automorphism and glide_automorphism recognise their family
   and name the automorphism by the image of flag 0: on a connected
-  system one image fixes an automorphism, and the labelling kernel's tie
+  system one image fixes an automorphism, and the tie of the one search
   from that image builds it.
 * GroupMap: flags are the elements of a permutation group, generators
   act by right multiplication, automorphisms by left multiplication.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .core import MAP, HYPERMAP, FlagSystem, _reference, _tie
+from .core import MAP, HYPERMAP, FlagSystem, _search
 from .covers import quotient_by
 from .errors import FlagmapsError
 from .perms import (
@@ -97,9 +97,10 @@ def semi_star(n: int) -> FlagSystem:
 
 def _automorphism_from(fs: FlagSystem, image: int) -> Perm:
     """The automorphism of a connected system sending flag 0 to ``image``:
-    the tie of the labelling kernel from that flag."""
-    h = _tie(_reference(fs), image)
-    if h is None:
+    the tie of the one search from that flag alone, or the identity for 0."""
+    generators = _search(fs, (image,))[1]
+    h = generators[0] if generators else identity(fs.flags)
+    if h[0] != image:
         raise FlagmapsError(f"no automorphism sends flag 0 to flag {image}")
     return h
 

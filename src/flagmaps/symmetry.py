@@ -3,10 +3,11 @@
 An automorphism is a flag permutation commuting with all three
 generators.  On a connected system automorphisms act semiregularly, so
 each is fixed by its image of flag 0 (a base of length one: Seress,
-*Permutation Group Algorithms*, 2003, ch. 4).  The search labels the
-system from flag 0 and walks the labelling kernel from every start
-outside the orbit of 0 under the generators found so far; a tie is a new
-generator (McKay & Piperno, "Practical graph isomorphism II", 2014).
+*Permutation Group Algorithms*, 2003, ch. 4).  The search that gives
+the canonical form gives the group (``core._search``): the tie of a
+start with the least labelling so far is a generator, and starts in the
+orbit of a tried start under those found are skipped (McKay & Piperno,
+"Practical graph isomorphism II", 2014).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import FlagSystem, _pair_walk, _reference, _tie
+from .core import FlagSystem, _pair_walk, _search
 from .covers import lift_automorphisms, orientable_double_cover
 from .errors import FlagmapsError
 from .perms import Perm, block_index, generate_closure, orbit_of
@@ -60,23 +61,16 @@ class StabilityReport:
 
 
 def automorphism_group(fs: FlagSystem) -> AutGroup:
-    """All flag permutations commuting with the three generators.
+    """All flag permutations commuting with the three generators: the
+    orbit of flag 0 under the generators of the one search.
 
     A census class records the ties of its completed table, the images of
-    flag 0 other than 0; the search then walks only those starts, with the
-    same orbit skipping, so it finds the same images and generators.
+    flag 0 other than 0; the search walks only those, against the table
+    itself, and finds the same images and generators as over every start.
     """
     fs.require_valid()
-    reference = _reference(fs)
-    generators: list[Perm] = []
-    orbit = {0}
-    starts = getattr(fs, "_ties", None)
-    for start in range(1, fs.flags) if starts is None else starts:
-        h = None if start in orbit else _tie(reference, start)
-        if h is not None:
-            generators.append(h)
-            orbit = orbit_of(generators, orbit)
-    return AutGroup(fs.flags, tuple(sorted(orbit)), tuple(generators))
+    generators = _search(fs, getattr(fs, "_ties", None))[1]
+    return AutGroup(fs.flags, tuple(sorted(orbit_of(generators, [0]))), tuple(generators))
 
 
 def _group_of(fs: FlagSystem, aut: AutGroup | None) -> AutGroup:

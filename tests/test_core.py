@@ -21,7 +21,7 @@ from flagmaps.core import (
     surface_invariants,
     validate,
 )
-from flagmaps.census import _self_canonical
+from flagmaps.census import _live_starts
 from flagmaps.covers import quotient_by
 from flagmaps.families import (
     glide_automorphism,
@@ -322,6 +322,11 @@ def test_labelling_on_partial_tables_cuts_only_what_completion_cuts(kind, size, 
             assert _labelling(complete, start)[0] < 0
         elif sign == 2:
             assert _labelling(complete, start)[0] == 2
+
+
+def _self_canonical(tables, n):
+    """Does no start read below the BFS-labelled, possibly partial, table?"""
+    return _live_starts(tuple(zip(tables, tables)), range(1, n)) is not None
 
 
 def _assert_no_prefix_cut(tables):

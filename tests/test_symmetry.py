@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,16 @@ from flagmaps.families import (
     torus_44,
 )
 from flagmaps import symmetry
-from flagmaps.core import MAP, FlagSystem, InvalidFlagSystemError, edge_cells, surface_invariants
+from flagmaps.core import (
+    MAP,
+    FlagSystem,
+    InvalidFlagSystemError,
+    canonical_form,
+    edge_cells,
+    encode,
+    relabel,
+    surface_invariants,
+)
 from flagmaps.errors import FlagmapsError
 from flagmaps.perms import block_index, compose, identity
 from flagmaps.symmetry import (
@@ -96,9 +106,9 @@ def _assert_matches_brute_force(fs):
 
 
 def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7):
-    systems = [rec.fs for rec in map_census_8]
-    systems += [rec.fs for rec in hypermap_census_7 if rec.fs.flags <= 6]
-    systems += [icosahedron(), torus_44("diag", 2), symmetric_map(5).fs, hosohedron(12)]
+    census = [rec.fs for rec in map_census_8]
+    census += [rec.fs for rec in hypermap_census_7 if rec.fs.flags <= 6]
+    systems = census + [icosahedron(), torus_44("diag", 2), symmetric_map(5).fs, hosohedron(12)]
     covers = 0
     for fs in systems:
         brute = _assert_matches_brute_force(fs)
@@ -111,6 +121,19 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
         assert rep.lifted_subgroup_verified
         covers += 1
     assert covers > 100
+    # Shuffled copies record no ties, so the search runs over every start
+    # from a reference that is not least whenever the new flag 0 lies
+    # outside the orbit of the old one.
+    rng = random.Random(21)
+    moved = 0
+    for fs in census:
+        perm = list(range(fs.flags))
+        rng.shuffle(perm)
+        shuffled = relabel(fs, tuple(perm))
+        _assert_matches_brute_force(shuffled)
+        assert canonical_form(shuffled) == encode(fs)
+        moved += perm.index(0) not in automorphism_group(fs).images
+    assert moved > 500
 
 
 def test_aut_group_equality_follows_the_images_not_the_generators():
