@@ -428,7 +428,9 @@ def _search(fs: FlagSystem, starts=None) -> tuple[tuple[Perm, ...], list[Perm]]:
     contradiction.  Hence G b* = Aut b*, and as Aut acts semiregularly,
     G = Aut.  A new tie sends the reference start, which is tried,
     outside its orbit under the earlier ties, so the group at least
-    doubles: len(generators) <= log2(order).
+    doubles: len(generators) <= log2(order).  On a double cover, with the
+    + flags as starts, the proof holds for the group Aut+ that keeps the
+    sheets: a tie between + flags keeps them, and Aut+ sends b* to + flags.
     """
     n = fs.flags
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import FlagSystem, _valid, canonical_form, two_coloring
+from .core import FlagSystem, _valid, canonical_form, fixed_flag_counts, two_coloring
 from .errors import FlagmapsError
-from .perms import Perm, block_index, compose, identity, is_perm, orbits
+from .perms import Perm, block_index, compose, identity, is_perm, orbit_of, orbits
 
 ORIENTATION_PRESERVING = "preserving"
 ORIENTATION_REVERSING = "reversing"
@@ -76,42 +76,29 @@ def check_automorphism(fs: FlagSystem, h: Perm) -> None:
                 raise NotAnAutomorphismError(h, i, f)
 
 
-def _closed_coloring(fs: FlagSystem) -> list[int] | None:
-    """The two-colouring of an orientable system with empty boundary, or
-    None for any other.  A fixed flag is a boundary incidence, so the test
-    for one comes first and stops at the first it finds."""
-    if any(g[f] == f for g in fs.gens for f in range(fs.flags)):
-        return None
-    return two_coloring(fs)
-
-
 def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
     """Build the canonical orientable boundary-free double cover.
 
     Cover flags are indexed (f, +) = f and (f, -) = f + F, and a cover
     generator sends (f, s) to (g f, -s).  Raises
-    AlreadyOrientableClosedError when the input is orientable with empty
-    boundary, in which case the construction would fall apart into two
-    copies of the input.
+    AlreadyOrientableClosedError when (0, -) is outside the orbit O of
+    (0, +), that is when the input is orientable with empty boundary and
+    the construction falls apart into two copies of it.
 
     The cover of a valid input is valid by construction (``core._valid``):
     - it has the input's kind and twice its flags;
     - (f, s) -> (g f, -s) -> (g g f, s) = (f, s), so each generator is an
       involution;
     - for a map, g0 g2 and g2 g0 both send (f, s) to (g0 g2 f, s);
-    - it is connected.  The orbit O of (0, +) projects onto every base
-      flag, because the base is connected.  The deck involution maps O to
-      the orbit of (0, -); if those meet, O is everything.  Otherwise O
-      holds exactly one (f, s) per flag, and s is a two-colouring that
-      every generator step alternates, with no fixed flag, since (f, s)
-      and (f, -s) would be neighbours.  Then the input would be orientable
-      with empty boundary, which was rejected.
+    - it is connected, as checked.  O projects onto every base flag,
+      because the base is connected.  The deck involution commutes with
+      the generators, so (0, -) in O makes O deck-invariant, and O is
+      everything.  Otherwise O holds exactly one (f, s) per flag, and s is
+      a two-colouring that every generator step alternates, with no fixed
+      flag, since (f, s) and (f, -s) would be neighbours: the input is
+      orientable with empty boundary.
     """
     fs.require_valid()
-    if _closed_coloring(fs) is not None:
-        raise AlreadyOrientableClosedError(
-            "input is already orientable with empty boundary"
-        )
     n = fs.flags
     tables = []
     for g in fs.gens:
@@ -120,6 +107,10 @@ def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
             img[f] = g[f] + n
             img[f + n] = g[f]
         tables.append(tuple(img))
+    if n not in orbit_of(tables, [0]):
+        raise AlreadyOrientableClosedError(
+            "input is already orientable with empty boundary"
+        )
     return DoubleCover(_valid(FlagSystem(fs.kind, 2 * n, *tables)))
 
 
@@ -178,8 +169,8 @@ def orientation_action(fs: FlagSystem, aut: Perm) -> str:
     fixes or swaps the two color classes.
     """
     fs.require_valid()
-    color = _closed_coloring(fs)
-    if color is None:
+    color = two_coloring(fs)
+    if color is None or any(fixed_flag_counts(fs)):
         raise NotOrientableClosedError(
             "orientation action needs an orientable boundary-free system"
         )

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import FlagSystem, _pair_walk, _search
+from .core import FlagSystem, _search
 from .covers import lift_automorphisms, orientable_double_cover
 from .errors import FlagmapsError
-from .perms import Perm, block_index, generate_closure, orbit_of
+from .perms import Perm, generate_closure, orbit_of
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,19 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
 
     Regular means the group is transitive (hence regular) on flags;
     edge-regular means transitive on edge cells with order equal to the
-    edge count.
+    edge count.  As Aut commutes with g0 and g2, <Aut, g0, g2> is
+    Aut <g0, g2>: its orbit of flag 0 is the union of the Aut-images of
+    the edge cell of flag 0, every flag exactly when Aut is edge-transitive,
+    and then there are flags / |cell of 0| edges.
     """
     fs.require_valid()
     aut = _group_of(fs, aut)
-    regular = aut.order == fs.flags
-    eblocks, _ = _pair_walk(fs, 0, 2)
-    cell_of = block_index(eblocks, fs.flags)
-    reached = {cell_of[f] for f in orbit_of(aut.generators, [eblocks[0][0]])}
-    edge_transitive = len(reached) == len(eblocks)
+    g0, _, g2 = fs.gens
+    edge_transitive = len(orbit_of(aut.generators + (g0, g2), [0])) == fs.flags
     return SymmetryClass(
-        regular=regular,
+        regular=aut.order == fs.flags,
         edge_transitive=edge_transitive,
-        edge_regular=edge_transitive and aut.order == len(eblocks),
+        edge_regular=edge_transitive and aut.order * len(orbit_of((g0, g2), [0])) == fs.flags,
     )
 
 
@@ -113,24 +113,26 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     cover subgroup of order 2 * |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
     |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
-    base group already computed.  The subgroup is verified when the orbit
-    of cover flag 0 under the lifts of its generators and the deck has
-    2 * |Aut base| flags, all among the images found by the independent
-    cover search, and 2 * |Aut base| divides |Aut cover|, so that the
-    index is an integer.
+    base group already computed.  Every cover generator changes sheets, so
+    each cover automorphism keeps them or swaps them, as the deck does:
+    |Aut cover| = 2 |Aut+|, for the group Aut+ that keeps them, whose
+    generators the search over the + starts finds (``core._search``).
+    The subgroup is verified when the orbit of cover flag 0 under the
+    lifts of the base generators, which keep the sheets, has |Aut base|
+    flags, all in its orbit under Aut+, and 2 * |Aut base| divides
+    |Aut cover|.  The deck is an automorphism by construction
+    (``DoubleCover.deck``) and is not checked.
     """
     dc = orientable_double_cover(fs)  # validates fs
     aut = _group_of(fs, aut)
-    lifted = [lift_automorphisms(dc, h)[0] for h in aut.generators] + [dc.deck]
-    cover_aut = automorphism_group(dc.cover)
-    lifted_orbit = orbit_of(lifted, [0])
-    index, rest = divmod(cover_aut.order, 2 * aut.order)
+    plus = orbit_of(_search(dc.cover, range(1, fs.flags))[1], [0])
+    lifted = orbit_of([lift_automorphisms(dc, h)[0] for h in aut.generators], [0])
+    cover_order = 2 * len(plus)
+    index, rest = divmod(cover_order, 2 * aut.order)
     return StabilityReport(
         base_aut_order=aut.order,
-        cover_aut_order=cover_aut.order,
+        cover_aut_order=cover_order,
         instability_index=index,
-        stable=cover_aut.order == 2 * aut.order,
-        lifted_subgroup_verified=rest == 0
-        and len(lifted_orbit) == 2 * aut.order
-        and lifted_orbit <= set(cover_aut.images),
+        stable=cover_order == 2 * aut.order,
+        lifted_subgroup_verified=rest == 0 and len(lifted) == aut.order and lifted <= plus,
     )

@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flagmaps.covers import (
     AlreadyOrientableClosedError,
+    check_automorphism,
     orientable_double_cover,
     quotient_by,
 )
@@ -23,8 +25,9 @@ from flagmaps.families import (
     symmetric_map,
     torus_44,
 )
-from flagmaps import symmetry
+from flagmaps import core, symmetry
 from flagmaps.core import (
+    HYPERMAP,
     MAP,
     FlagSystem,
     InvalidFlagSystemError,
@@ -42,6 +45,7 @@ from flagmaps.symmetry import (
     stability_report,
     symmetry_class,
 )
+from test_core import _random_system
 
 
 def test_aut_orders_on_families():
@@ -101,7 +105,9 @@ def _assert_matches_brute_force(fs):
     eblocks = edge_cells(fs)
     cell_of = block_index(eblocks, fs.flags)
     reached = {cell_of[h[eblocks[0][0]]] for h in brute}
-    assert symmetry_class(fs, aut).edge_transitive == (len(reached) == len(eblocks))
+    sym = symmetry_class(fs, aut)
+    assert sym.edge_transitive == (len(reached) == len(eblocks))
+    assert sym.edge_regular == (sym.edge_transitive and len(brute) == len(eblocks))
     return brute
 
 
@@ -125,7 +131,7 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
     # from a reference that is not least whenever the new flag 0 lies
     # outside the orbit of the old one.
     rng = random.Random(21)
-    moved = 0
+    moved = replaced = 0
     for fs in census:
         perm = list(range(fs.flags))
         rng.shuffle(perm)
@@ -133,7 +139,42 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
         _assert_matches_brute_force(shuffled)
         assert canonical_form(shuffled) == encode(fs)
         moved += perm.index(0) not in automorphism_group(fs).images
-    assert moved > 500
+        if not surface_invariants(fs).orientable_no_boundary:
+            replaced += _assert_cover_count_matches_brute_force(shuffled)
+    assert moved > 500 and replaced > 100
+
+
+def _assert_cover_count_matches_brute_force(fs):
+    """The + count against every cover automorphism; returns whether the
+    cover search replaces its reference, the labelling from flag 0."""
+    dc = orientable_double_cover(fs)
+    check_automorphism(dc.cover, dc.deck)
+    assert stability_report(fs).cover_aut_order == len(_brute_force_automorphisms(dc.cover))
+    return core._search(dc.cover, ())[0] != core._search(dc.cover)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 24), st.randoms(use_true_random=False))
+def test_plus_count_matches_brute_force_on_random_systems(kind, size, rng):
+    fs = _random_system(rng, kind, size)
+    assume(not surface_invariants(fs).orientable_no_boundary)
+    _assert_cover_count_matches_brute_force(fs)
+
+
+def test_stability_report_walks_only_plus_starts(map_census_8, hypermap_census_7, monkeypatch):
+    records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
+    auts = [automorphism_group(rec.fs) for rec in records]
+    walked, real = [], core._labelling
+
+    def labelling(rows, start):
+        walked.append(start < len(rows[0][0]) // 2)
+        return real(rows, start)
+
+    monkeypatch.setattr(core, "_labelling", labelling)
+    monkeypatch.delattr(symmetry, "automorphism_group")
+    for rec, aut in zip(records, auts):
+        assert stability_report(rec.fs, aut).cover_aut_order == rec.cover_aut_order
+    assert len(walked) > len(records) and all(walked)
 
 
 def test_aut_group_equality_follows_the_images_not_the_generators():
@@ -219,22 +260,29 @@ def test_cover_order_divisible_by_twice_base():
 
 
 def test_lifted_subgroup_needs_an_integer_index(map_census_8, monkeypatch):
-    # a cover search that reported one image too many: the lifted orbit
-    # still lies among the images, but 2 |Aut base| no longer divides the order
-    rec = next(r for r in map_census_8
-               if r.stable is not None and r.cover_aut_order < 2 * r.fs.flags)
-    real = symmetry.automorphism_group
+    # a + count with one spare image: the lifted orbit still lies among the
+    # images, but 2 |Aut base| > 2 no longer divides the cover order
+    rec = next(r for r in map_census_8 if r.stable is not None
+               and r.aut_order > 1 and r.cover_aut_order < 2 * r.fs.flags)
+    real_search, real_orbit = symmetry._search, symmetry.orbit_of
+    found = []
 
-    def padded(fs):
-        aut = real(fs)
-        if fs.flags == 2 * rec.fs.flags:
-            spare = min(set(range(fs.flags)) - set(aut.images))
-            aut = AutGroup(fs.flags, tuple(sorted(aut.images + (spare,))), aut.generators)
-        return aut
+    def search(fs, starts=None):
+        best, generators = real_search(fs, starts)
+        found.append(generators)
+        return best, generators
 
-    monkeypatch.setattr(symmetry, "automorphism_group", padded)
-    rep = stability_report(rec.fs, real(rec.fs))
-    assert rep.cover_aut_order == rec.cover_aut_order + 1
+    def orbit(generators, points):
+        out = real_orbit(generators, points)
+        if found and generators is found[-1]:
+            out.add(min(set(range(rec.fs.flags)) - out))
+        return out
+
+    aut = automorphism_group(rec.fs)
+    monkeypatch.setattr(symmetry, "_search", search)
+    monkeypatch.setattr(symmetry, "orbit_of", orbit)
+    rep = stability_report(rec.fs, aut)
+    assert rep.cover_aut_order == rec.cover_aut_order + 2
     assert not rep.lifted_subgroup_verified and not rep.stable
 
 
