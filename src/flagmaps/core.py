@@ -406,16 +406,19 @@ def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
     return 0, new, order
 
 
-def _search(fs: FlagSystem, starts=None) -> tuple[tuple[Perm, ...], list[Perm]]:
-    """The least breadth-first labelling from flag 0 and ``starts`` (every
-    flag when None), as image tables, and generators of Aut.
+def _search(gens, starts=None, labelled_from_0=False) -> tuple[tuple[Perm, ...], list[Perm]]:
+    """The least breadth-first labelling of the permutation tables ``gens``
+    from flag 0 and ``starts`` (every flag when None), as image tables,
+    and generators of their centralizer Aut, the permutations commuting
+    with every table.  ``gens`` generate a transitive group.
 
-    The reference is the labelling from flag 0, or the table itself for a
-    census class, which records ``_ties``.  A start that reads below the
-    reference replaces it.  A full tie, order0[k] -> order[k], that is
-    x -> order[labels[x]], commutes with every generator: a generator.
-    Starts in the orbit of a tried start under the ties so far label alike
-    and are skipped; the orbit is closed after a new reference or a tie.
+    The reference is the labelling from flag 0, or the tables themselves
+    when ``labelled_from_0`` says they are that labelling, as a census
+    class is.  A start that reads below the reference replaces it.  A
+    full tie, order0[k] -> order[k], that is x -> order[labels[x]],
+    commutes with every table: a generator.  Starts in the orbit of a
+    tried start under the ties so far label alike and are skipped; the
+    orbit is closed after a new reference or a tie.
 
     The ties generate Aut when every image of b*, the start of the final
     reference, is 0 or a start, as for ``starts=None`` and the census
@@ -425,24 +428,22 @@ def _search(fs: FlagSystem, starts=None) -> tuple[tuple[Perm, ...], list[Perm]]:
     Skipped, x would lie in the orbit of an earlier tried start under
     earlier ties; that start is an image of b* before x, so it and x lie
     in G b*.  So x is walked after b*, ties, and its tie sends b* to x, a
-    contradiction.  Hence G b* = Aut b*, and as Aut acts semiregularly,
-    G = Aut.  A new tie sends the reference start, which is tried,
-    outside its orbit under the earlier ties, so the group at least
-    doubles: len(generators) <= log2(order).  On a double cover, with the
-    + flags as starts, the proof holds for the group Aut+ that keeps the
-    sheets: a tie between + flags keeps them, and Aut+ sends b* to + flags.
+    contradiction.  Hence G b* = Aut b*, and as the centralizer of a
+    transitive group acts semiregularly, G = Aut.  A new tie sends the
+    reference start, which is tried, outside its orbit under the earlier
+    ties, so the group at least doubles: len(generators) <= log2(order).
     """
-    n = fs.flags
+    n = len(gens[0])
 
     def labelled(start):  # the labels from start and the tables they label
-        _, labels, order = _labelling(tuple((g, None) for g in fs.gens), start)
-        return labels, tuple(tuple([labels[g[f]] for f in order]) for g in fs.gens)
+        _, labels, order = _labelling(tuple((g, None) for g in gens), start)
+        return labels, tuple(tuple([labels[g[f]] for f in order]) for g in gens)
 
-    if hasattr(fs, "_ties"):
-        labels, best = range(n), fs.gens
+    if labelled_from_0:
+        labels, best = range(n), gens
     else:
         labels, best = labelled(0)
-    rows = tuple(zip(fs.gens, best))
+    rows = tuple(zip(gens, best))
     generators: list[Perm] = []
     tried, skip = [0], {0}
     for start in range(1, n) if starts is None else starts:
@@ -454,7 +455,7 @@ def _search(fs: FlagSystem, starts=None) -> tuple[tuple[Perm, ...], list[Perm]]:
             continue
         if sign < 0:
             labels, best = labelled(start)
-            rows = tuple(zip(fs.gens, best))
+            rows = tuple(zip(gens, best))
         else:
             generators.append(tuple([order[k] for k in labels[:n]]))
         skip = orbit_of(generators, tried)
@@ -469,7 +470,7 @@ def canonical_form(fs: FlagSystem) -> bytes:
     commuting with the respective generators, matched by index).
     """
     fs.require_valid()
-    return encode(FlagSystem(fs.kind, fs.flags, *_search(fs)[0]))
+    return encode(FlagSystem(fs.kind, fs.flags, *_search(fs.gens)[0]))
 
 
 def is_isomorphic(a: FlagSystem, b: FlagSystem) -> bool:

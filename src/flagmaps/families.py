@@ -98,7 +98,7 @@ def semi_star(n: int) -> FlagSystem:
 def _automorphism_from(fs: FlagSystem, image: int) -> Perm:
     """The automorphism of a connected system sending flag 0 to ``image``:
     the tie of the one search from that flag alone, or the identity for 0."""
-    generators = _search(fs, (image,))[1]
+    generators = _search(fs.gens, (image,))[1]
     h = generators[0] if generators else identity(fs.flags)
     if h[0] != image:
         raise FlagmapsError(f"no automorphism sends flag 0 to flag {image}")

@@ -7,7 +7,12 @@ each is fixed by its image of flag 0 (a base of length one: Seress,
 the canonical form gives the group (``core._search``): the tie of a
 start with the least labelling so far is a generator, and starts in the
 orbit of a tried start under those found are skipped (McKay & Piperno,
-"Practical graph isomorphism II", 2014).
+"Practical graph isomorphism II", 2014).  The stability verdict counts
+the automorphisms of the canonical double cover on the base flags, as
+the centralizer of the even words g0 g1 and g1 g2, the map analogue of
+reading Aut(X x K2) off a graph X (Wilson, "Unexpected symmetries in
+unstable graphs", 2008); every given or computed group is checked
+against its system first.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import FlagSystem, _search
-from .covers import lift_automorphisms, orientable_double_cover
+from .covers import AlreadyOrientableClosedError, check_automorphism
 from .errors import FlagmapsError
 from .perms import Perm, generate_closure, orbit_of
 
@@ -65,23 +70,30 @@ def automorphism_group(fs: FlagSystem) -> AutGroup:
     orbit of flag 0 under the generators of the one search.
 
     A census class records the ties of its completed table, the images of
-    flag 0 other than 0; the search walks only those, against the table
-    itself, and finds the same images and generators as over every start.
+    flag 0 other than 0, and is its own labelling from flag 0; the search
+    walks only those ties, against the table itself, and finds the same
+    images and generators as over every start.
     """
     fs.require_valid()
-    generators = _search(fs, getattr(fs, "_ties", None))[1]
+    generators = _search(fs.gens, getattr(fs, "_ties", None), hasattr(fs, "_ties"))[1]
     return AutGroup(fs.flags, tuple(sorted(orbit_of(generators, [0]))), tuple(generators))
 
 
 def _group_of(fs: FlagSystem, aut: AutGroup | None) -> AutGroup:
-    """``aut`` if given, else the automorphism group of ``fs``, a valid
-    system; a given group must be on as many flags as ``fs``."""
+    """``aut`` if given, else the automorphism group of ``fs``, after
+    validating ``fs``.  A given group must be on as many flags as ``fs``,
+    and every generator, given or computed, must be an automorphism of
+    ``fs`` (``check_automorphism``), so that no verdict rests on a group
+    that is not one."""
+    fs.require_valid()
     if aut is None:
-        return automorphism_group(fs)
-    if aut.flags != fs.flags:
+        aut = automorphism_group(fs)
+    elif aut.flags != fs.flags:
         raise FlagmapsError(
             f"automorphism group on {aut.flags} flags given for a system on {fs.flags}"
         )
+    for h in aut.generators:
+        check_automorphism(fs, h)
     return aut
 
 
@@ -95,7 +107,6 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
     the edge cell of flag 0, every flag exactly when Aut is edge-transitive,
     and then there are flags / |cell of 0| edges.
     """
-    fs.require_valid()
     aut = _group_of(fs, aut)
     g0, _, g2 = fs.gens
     edge_transitive = len(orbit_of(aut.generators + (g0, g2), [0])) == fs.flags
@@ -107,26 +118,50 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
 
 
 def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityReport:
-    """Compare the automorphisms of a system with those of its double cover.
+    """Compare the automorphisms of a system with those of its canonical
+    double cover, counted on the base flags; no cover is built.
 
     The lifts of the base group together with the deck involution form a
-    cover subgroup of order 2 * |Aut base|; the system is stable exactly
+    cover subgroup of order 2 |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
     |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
-    base group already computed.  Every cover generator changes sheets, so
-    each cover automorphism keeps them or swaps them, as the deck does:
-    |Aut cover| = 2 |Aut+|, for the group Aut+ that keeps them, whose
-    generators the search over the + starts finds (``core._search``).
-    The subgroup is verified when the orbit of cover flag 0 under the
-    lifts of the base generators, which keep the sheets, has |Aut base|
-    flags, all in its orbit under Aut+, and 2 * |Aut base| divides
-    |Aut cover|.  The deck is an automorphism by construction
-    (``DoubleCover.deck``) and is not checked.
+    base group already computed.
+
+    The cover has flags (f, s), s = +/-, and generators (f, s) ->
+    (g_i f, -s); let e = (g0 g1, g1 g2), the even words.
+    - Every cover generator changes sheets, so each cover automorphism
+      keeps the sheets or swaps them, and the deck swaps them:
+      |Aut cover| = 2 |Aut+|, for the group Aut+ that keeps them.
+    - A sheet-keeping phi sends (f, +) to (alpha f, +) and (f, -) to
+      (beta f, -).  It commutes with the cover generators iff
+      beta g_i = g_i alpha for each i, that is beta = g_i alpha g_i (a
+      two-fold automorphism: Lauri, Mizzi & Scapellato, 2011).  Then
+      alpha commutes with every g_i g_j; conversely such an alpha gives
+      phi with beta = g0 alpha g0.  So Aut+ is the centralizer of <e>,
+      which contains g0 g2 = (g0 g1)(g1 g2).
+    - <e> is transitive iff the cover is connected, that is unless the
+      input is orientable and closed (AlreadyOrientableClosedError): the
+      + flags reached from (0, +) are those reached by even words, and if
+      all of them are, their g0-images give every - flag.  The centralizer
+      of a transitive group acts semiregularly, so the search over every
+      start finds generators of Aut+ (``core._search``).
+    - The lift of a base automorphism h is h on both sheets; it commutes
+      with the cover generators iff h commutes with each g_i, which
+      ``_group_of`` checks (``check_automorphism``), failing at the same
+      generator and flag as the check on the cover.
+
+    The subgroup is verified when the orbit of flag 0 under the base
+    generators has |Aut base| flags, all in its orbit under Aut+, and
+    2 |Aut base| divides |Aut cover|.  The search is never seeded with
+    the base generators, so the check stays independent of the count.
+    The deck is an automorphism by construction (``DoubleCover.deck``).
     """
-    dc = orientable_double_cover(fs)  # validates fs
     aut = _group_of(fs, aut)
-    plus = orbit_of(_search(dc.cover, range(1, fs.flags))[1], [0])
-    lifted = orbit_of([lift_automorphisms(dc, h)[0] for h in aut.generators], [0])
+    even = tuple(tuple([b[x] for x in a]) for a, b in zip(fs.gens, fs.gens[1:]))  # g0 g1, g1 g2
+    if len(orbit_of(even, [0])) < fs.flags:
+        raise AlreadyOrientableClosedError("input is already orientable with empty boundary")
+    plus = orbit_of(_search(even)[1], [0])
+    lifted = orbit_of(aut.generators, [0])
     cover_order = 2 * len(plus)
     index, rest = divmod(cover_order, 2 * aut.order)
     return StabilityReport(

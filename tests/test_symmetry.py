@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flagmaps.covers import (
     AlreadyOrientableClosedError,
+    NotAnAutomorphismError,
     check_automorphism,
     orientable_double_cover,
     quotient_by,
@@ -144,13 +145,20 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
     assert moved > 500 and replaced > 100
 
 
+def _even_words(fs):
+    g0, g1, g2 = fs.gens
+    return compose(g0, g1), compose(g1, g2)
+
+
 def _assert_cover_count_matches_brute_force(fs):
-    """The + count against every cover automorphism; returns whether the
-    cover search replaces its reference, the labelling from flag 0."""
+    """The count on the base flags against every automorphism of the built
+    cover; returns whether the search on the even words replaces its
+    reference, the labelling from flag 0."""
     dc = orientable_double_cover(fs)
     check_automorphism(dc.cover, dc.deck)
     assert stability_report(fs).cover_aut_order == len(_brute_force_automorphisms(dc.cover))
-    return core._search(dc.cover, ())[0] != core._search(dc.cover)[0]
+    even = _even_words(fs)
+    return core._search(even, ())[0] != core._search(even)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,20 +169,49 @@ def test_plus_count_matches_brute_force_on_random_systems(kind, size, rng):
     _assert_cover_count_matches_brute_force(fs)
 
 
-def test_stability_report_walks_only_plus_starts(map_census_8, hypermap_census_7, monkeypatch):
+def _cover_is_refused(check, fs):
+    try:
+        check(fs)
+    except AlreadyOrientableClosedError:
+        return True
+    return False
+
+
+def test_stability_is_refused_exactly_where_the_cover_is(map_census_8, hypermap_census_7):
+    outcomes = set()
+    for rec in map_census_8 + hypermap_census_7:
+        refused = _cover_is_refused(orientable_double_cover, rec.fs)
+        assert _cover_is_refused(stability_report, rec.fs) == refused
+        assert refused == rec.invariants.orientable_no_boundary
+        outcomes.add(refused)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 24), st.randoms(use_true_random=False))
+def test_stability_is_refused_exactly_where_the_cover_is_on_random_systems(kind, size, rng):
+    fs = _random_system(rng, kind, size)
+    refused = _cover_is_refused(orientable_double_cover, fs)
+    assert _cover_is_refused(stability_report, fs) == refused
+
+
+def test_stability_report_walks_only_the_base_flags(map_census_8, hypermap_census_7, monkeypatch):
     records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
     auts = [automorphism_group(rec.fs) for rec in records]
-    walked, real = [], core._labelling
+    shapes, real = [], core._labelling
 
     def labelling(rows, start):
-        walked.append(start < len(rows[0][0]) // 2)
+        shapes.append((len(rows), {len(g) for g, _ in rows}))
         return real(rows, start)
 
     monkeypatch.setattr(core, "_labelling", labelling)
     monkeypatch.delattr(symmetry, "automorphism_group")
+    assert not hasattr(symmetry, "orientable_double_cover")
+    assert not hasattr(symmetry, "lift_automorphisms")
     for rec, aut in zip(records, auts):
+        shapes.clear()
         assert stability_report(rec.fs, aut).cover_aut_order == rec.cover_aut_order
-    assert len(walked) > len(records) and all(walked)
+        assert shapes and all(shape == (2, {rec.fs.flags}) for shape in shapes)
 
 
 def test_aut_group_equality_follows_the_images_not_the_generators():
@@ -311,3 +348,17 @@ def test_a_given_group_is_checked_against_its_system():
     for check in (symmetry_class, stability_report):
         with pytest.raises(InvalidFlagSystemError):
             check(not_involution, small)
+
+
+@pytest.mark.parametrize("check", [symmetry_class, stability_report])
+def test_a_given_group_must_consist_of_automorphisms(check):
+    """A generator that is not a permutation of the flags, or one that does
+    not commute with the generators, is an error, not a verdict or an
+    IndexError."""
+    h = hosohedron(3)
+    disc = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
+    swap = (1, 0) + tuple(range(2, disc.flags))
+    assert any(compose(swap, g) != compose(g, swap) for g in disc.gens)
+    for bad in ((0, 1), (0,) * disc.flags, swap):
+        with pytest.raises(NotAnAutomorphismError):
+            check(disc, AutGroup(disc.flags, (0,), (bad,)))

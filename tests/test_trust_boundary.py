@@ -2,7 +2,10 @@
 
 A construction that is valid by construction goes through
 ``core._valid`` and proves it in its docstring; no other module in
-``src/flagmaps`` mentions the attribute that records it.
+``src/flagmaps`` mentions the attribute that records it.  Likewise only
+the census, which records the Aut ties of a class, and ``symmetry``,
+which reads them, mention the ties attribute; ``core._search`` takes
+permutation tables and a flag instead.
 """
 
 from pathlib import Path
@@ -11,11 +14,12 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "flagmaps").glob("*.py"))
 ATTRIBUTE = "_validated"
+TIES = "_ties"
 
 
-def mentions(text: str) -> list[int]:
-    """Line numbers that mention the validity attribute."""
-    return [i for i, line in enumerate(text.splitlines(), 1) if ATTRIBUTE in line]
+def mentions(text: str, attribute: str = ATTRIBUTE) -> list[int]:
+    """Line numbers that mention the attribute, by default the validity one."""
+    return [i for i, line in enumerate(text.splitlines(), 1) if attribute in line]
 
 
 def test_sources_found():
@@ -26,6 +30,11 @@ def test_sources_found():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name)
 def test_only_core_mentions_the_validity_attribute(path):
     assert mentions(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_census_and_symmetry_mention_the_ties(path):
+    assert bool(mentions(path.read_text(), TIES)) == (path.name in ("census.py", "symmetry.py"))
 
 
 @pytest.mark.parametrize(
