@@ -157,12 +157,6 @@ class CensusRecord:
     cover_aut_order: int | None
     lifted_subgroup_verified: bool | None
 
-    @property
-    def canonical(self) -> bytes:
-        """The encoding of ``fs``; the census emits each class in its
-        canonical labelling, so there this is its canonical form."""
-        return encode(self.fs)
-
 
 def analyze(fs: FlagSystem) -> CensusRecord:
     """The invariants, Aut, the symmetry class and, where defined, the
@@ -222,7 +216,7 @@ def census_csv(records: list[CensusRecord]) -> str:
             int(r.edge_regular),
             "" if r.stable is None else int(r.stable),
             "" if r.instability_index is None else r.instability_index,
-            r.canonical.hex(),
+            encode(r.fs).hex(),
         ])
     return buf.getvalue()
 

@@ -11,7 +11,7 @@ import sys
 
 from .census import analyze, census_csv, census_summary, stability_census
 from .core import HYPERMAP, MAP, FlagSystem, export_diagram
-from .covers import check_automorphism, orientable_double_cover, quotient_by
+from .covers import orientable_double_cover, quotient_by
 from .errors import FlagmapsError
 from .families import (
     glide_automorphism,
@@ -27,7 +27,7 @@ from .families import (
 from .grouplevel import family_report
 from .mapjson import MapFormatError, parse, serialize
 from .operations import dual, medial, petrie
-from .perms import format_cycles, generate_closure, parse_cycles
+from .perms import format_cycles, parse_cycles
 from .verify import run_all
 
 
@@ -158,10 +158,7 @@ def _quotient(args: argparse.Namespace) -> int:
         aut = glide_automorphism(fs)
     else:
         raise FlagmapsError("supply --auto CYCLES, --reflection or --glide")
-    # an automorphism of a connected system is semiregular, so once it is
-    # checked its cyclic group has at most fs.flags elements
-    check_automorphism(fs, aut)
-    _write_output(serialize(quotient_by(fs, generate_closure([aut]))), args.out)
+    _write_output(serialize(quotient_by(fs, [aut])), args.out)
     return 0
 
 

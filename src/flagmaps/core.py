@@ -406,43 +406,50 @@ def _labelling(rows, start: int) -> tuple[int, list[int], list[int]]:
     return 0, new, order
 
 
-def _search(gens, starts=None, labelled_from_0=False) -> tuple[tuple[Perm, ...], list[Perm]]:
-    """The least breadth-first labelling of the permutation tables ``gens``
-    from flag 0 and ``starts`` (every flag when None), as image tables,
-    and generators of their centralizer Aut, the permutations commuting
-    with every table.  ``gens`` generate a transitive group.
+def _labelled(gens, start: int) -> tuple[list[int], list[int], tuple[Perm, ...]]:
+    """The free breadth-first walk of the tables ``gens`` from ``start``:
+    labels, order, and the tables relabelled on the orbit of ``start``."""
+    _, labels, order = _labelling(tuple((g, None) for g in gens), start)
+    return labels, order, tuple(tuple([labels[g[f]] for f in order]) for g in gens)
 
-    The reference is the labelling from flag 0, or the tables themselves
-    when ``labelled_from_0`` says they are that labelling, as a census
-    class is.  A start that reads below the reference replaces it.  A
-    full tie, order0[k] -> order[k], that is x -> order[labels[x]],
-    commutes with every table: a generator.  Starts in the orbit of a
-    tried start under the ties so far label alike and are skipped; the
-    orbit is closed after a new reference or a tie.
+
+def _search(gens, starts=None, labelled_from_0=False) -> tuple[tuple[Perm, ...], list[Perm]]:
+    """The final reference labelling of the permutation tables ``gens``,
+    as image tables, and generators of their centralizer Aut, the
+    permutations commuting with every table.  ``gens`` generate a
+    transitive group.
+
+    The reference is the labelling from flag 0, and a start (every flag
+    when ``starts`` is None) that reads below it replaces it, so the
+    final one is the least over flag 0 and the starts.  When
+    ``labelled_from_0`` says that ``gens`` are the labelling from flag 0,
+    the reference is ``gens`` and stays: a start that reads below it is
+    no image of 0 and is passed over.  A census class is least already,
+    so none reads below it.  A full tie, order0[k] -> order[k], that is
+    x -> order[labels[x]], commutes with every table: a generator.
+    Starts in the orbit of a tried start under the ties so far label
+    alike and are skipped; the orbit is closed after a new reference or
+    a tie.
 
     The ties generate Aut when every image of b*, the start of the final
     reference, is 0 or a start, as for ``starts=None`` and the census
     ties.  No image of b* comes before b*: it would label least too, and
-    be walked, or be skipped for an earlier walked start that does.  Let
-    G be generated by the ties and x the first image of b* outside G b*.
-    Skipped, x would lie in the orbit of an earlier tried start under
-    earlier ties; that start is an image of b* before x, so it and x lie
-    in G b*.  So x is walked after b*, ties, and its tie sends b* to x, a
-    contradiction.  Hence G b* = Aut b*, and as the centralizer of a
-    transitive group acts semiregularly, G = Aut.  A new tie sends the
-    reference start, which is tried, outside its orbit under the earlier
-    ties, so the group at least doubles: len(generators) <= log2(order).
+    be walked, or be skipped for an earlier walked start that does; with
+    ``labelled_from_0``, b* is 0.  Let G be generated by the ties and x
+    the first image of b* outside G b*.  Skipped, x would lie in the orbit
+    of an earlier tried start under earlier ties; that start is an image
+    of b* before x, so it and x lie in G b*.  So x is walked after b*,
+    ties, and its tie sends b* to x, a contradiction.  Hence G b* = Aut b*,
+    and as the centralizer of a transitive group acts semiregularly,
+    G = Aut.  A new tie sends the reference start, which is tried, outside
+    its orbit under the earlier ties, so the group at least doubles:
+    len(generators) <= log2(order).
     """
     n = len(gens[0])
-
-    def labelled(start):  # the labels from start and the tables they label
-        _, labels, order = _labelling(tuple((g, None) for g in gens), start)
-        return labels, tuple(tuple([labels[g[f]] for f in order]) for g in gens)
-
     if labelled_from_0:
         labels, best = range(n), gens
     else:
-        labels, best = labelled(0)
+        labels, _, best = _labelled(gens, 0)
     rows = tuple(zip(gens, best))
     generators: list[Perm] = []
     tried, skip = [0], {0}
@@ -451,10 +458,10 @@ def _search(gens, starts=None, labelled_from_0=False) -> tuple[tuple[Perm, ...],
             continue
         tried.append(start)
         sign, _, order = _labelling(rows, start)
-        if sign > 0:
+        if sign > 0 or (sign < 0 and labelled_from_0):
             continue
         if sign < 0:
-            labels, best = labelled(start)
+            labels, _, best = _labelled(gens, start)
             rows = tuple(zip(gens, best))
         else:
             generators.append(tuple([order[k] for k in labels[:n]]))

@@ -412,4 +412,4 @@ def k6_projective() -> FlagSystem:
         if a != identity(len(a))
         and all(compose(a, r) == compose(r, a) for r in gm.generators)
     ]
-    return quotient_by(gm.fs, [identity(gm.order), gm.automorphism(z)])
+    return quotient_by(gm.fs, [gm.automorphism(z)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import FlagSystem, _search
+from .core import FlagSystem, _labelled, _search
 from .covers import AlreadyOrientableClosedError, check_automorphism
 from .errors import FlagmapsError
 from .perms import Perm, generate_closure, orbit_of
@@ -82,11 +82,13 @@ def automorphism_group(fs: FlagSystem) -> AutGroup:
 def _group_of(fs: FlagSystem, aut: AutGroup | None) -> AutGroup:
     """``aut`` if given, else the automorphism group of ``fs``, after
     validating ``fs``.  A given group must be on as many flags as ``fs``,
-    and every generator, given or computed, must be an automorphism of
-    ``fs`` (``check_automorphism``), so that no verdict rests on a group
-    that is not one."""
+    every generator, given or computed, must be an automorphism of ``fs``
+    (``check_automorphism``), and the images of a given group must be the
+    orbit of flag 0 under its generators, as a computed group's are by
+    construction, so that no verdict rests on a group that is not one."""
     fs.require_valid()
-    if aut is None:
+    given = aut is not None
+    if not given:
         aut = automorphism_group(fs)
     elif aut.flags != fs.flags:
         raise FlagmapsError(
@@ -94,6 +96,10 @@ def _group_of(fs: FlagSystem, aut: AutGroup | None) -> AutGroup:
         )
     for h in aut.generators:
         check_automorphism(fs, h)
+    if given and aut.images != tuple(sorted(orbit_of(aut.generators, [0]))):
+        raise FlagmapsError(
+            "the given images of flag 0 are not its orbit under the given generators"
+        )
     return aut
 
 
@@ -142,9 +148,12 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     - <e> is transitive iff the cover is connected, that is unless the
       input is orientable and closed (AlreadyOrientableClosedError): the
       + flags reached from (0, +) are those reached by even words, and if
-      all of them are, their g0-images give every - flag.  The centralizer
-      of a transitive group acts semiregularly, so the search over every
-      start finds generators of Aut+ (``core._search``).
+      all of them are, their g0-images give every - flag.  One free walk
+      of e from flag 0 decides this by its length, and relabels e as its
+      own labelling from 0.  The centralizer of a transitive group acts
+      semiregularly, so the search over every start of the relabelled
+      tables finds generators of Aut+ conjugated by that labelling
+      (``core._search``), and the walk's order maps the orbit of 0 back.
     - The lift of a base automorphism h is h on both sheets; it commutes
       with the cover generators iff h commutes with each g_i, which
       ``_group_of`` checks (``check_automorphism``), failing at the same
@@ -158,9 +167,10 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     """
     aut = _group_of(fs, aut)
     even = tuple(tuple([b[x] for x in a]) for a, b in zip(fs.gens, fs.gens[1:]))  # g0 g1, g1 g2
-    if len(orbit_of(even, [0])) < fs.flags:
+    _, order, tables = _labelled(even, 0)
+    if len(order) < fs.flags:
         raise AlreadyOrientableClosedError("input is already orientable with empty boundary")
-    plus = orbit_of(_search(even)[1], [0])
+    plus = {order[x] for x in orbit_of(_search(tables, None, True)[1], [0])}
     lifted = orbit_of(aut.generators, [0])
     cover_order = 2 * len(plus)
     index, rest = divmod(cover_order, 2 * aut.order)

@@ -40,7 +40,7 @@ from .families import (
 from .grouplevel import family_report, quotient_analysis, regular_cells, symmetric_model
 from .mapjson import parse, serialize
 from .operations import medial, petrie
-from .perms import compose, identity, orbit_of
+from .perms import compose, orbit_of
 from .symmetry import automorphism_group, stability_report
 
 
@@ -78,7 +78,7 @@ def check_spherical_quotients() -> CheckResult:
     for n, disc_aut, star_aut in ((5, 2, 1), (6, 4, 2)):
         k = hosohedron(n)
         e.eq(f"|Aut {{2,{n}}}|", automorphism_group(k).order, 4 * n)
-        q = quotient_by(k, [identity(k.flags), reflection_automorphism(k)])
+        q = quotient_by(k, [reflection_automorphism(k)])
         rep = stability_report(q)
         e.eq(f"disc quotient aut (n={n})", rep.base_aut_order, disc_aut)
         e.true(f"disc quotient unstable (n={n})", not rep.stable)
@@ -88,7 +88,7 @@ def check_spherical_quotients() -> CheckResult:
         )
         s = semi_star(n)
         e.eq(f"|Aut semi-star({n})|", automorphism_group(s).order, 2 * n)
-        qs = quotient_by(s, [identity(s.flags), reflection_automorphism(s)])
+        qs = quotient_by(s, [reflection_automorphism(s)])
         reps = stability_report(qs)
         e.eq(f"semi-star quotient aut (n={n})", reps.base_aut_order, star_aut)
         e.true(f"semi-star quotient unstable (n={n})", not reps.stable)
@@ -105,7 +105,7 @@ def check_klein_bottle_quotient() -> CheckResult:
     k = torus_44("diag", 1)
     e.eq("{4,4}_{2,2} flags", k.flags, 64)
     e.eq("|Aut {4,4}_{2,2}|", automorphism_group(k).order, 64)
-    q = quotient_by(k, [identity(k.flags), glide_automorphism(k)])
+    q = quotient_by(k, [glide_automorphism(k)])
     rec = analyze(q)
     inv = rec.invariants
     e.eq("quotient flags", q.flags, 32)
@@ -139,7 +139,7 @@ def check_torus_glide_series() -> CheckResult:
     centralizer = sum(
         1 for h in torus_aut.elements if compose(h, glide) == compose(glide, h)
     )
-    qd = analyze(quotient_by(kd, [identity(kd.flags), glide]))
+    qd = analyze(quotient_by(kd, [glide]))
     e.true("diag(2) quotient unstable", not qd.stable)
     e.true("diag(2) quotient not edge-transitive", not qd.edge_transitive)
     e.eq("diag(2) quotient aut order", qd.aut_order, 16)
@@ -149,7 +149,7 @@ def check_torus_glide_series() -> CheckResult:
     e.eq("diag(2) cover aut = |Aut torus|", qd.cover_aut_order, torus_aut.order)
     e.eq("diag(2) instability index", qd.instability_index, 8)
     kr = torus_44("rect", 2)
-    qr = analyze(quotient_by(kr, [identity(kr.flags), glide_automorphism(kr)]))
+    qr = analyze(quotient_by(kr, [glide_automorphism(kr)]))
     e.true("rect(2) quotient unstable", not qr.stable)
     e.true("rect(2) quotient not edge-transitive", not qr.edge_transitive)
     return e.result("torus-glide-series")
@@ -173,7 +173,7 @@ def check_zigzag_family() -> CheckResult:
             orientation_action(gm.fs, a),
             "reversing",
         )
-        q = quotient_by(gm.fs, [identity(gm.fs.flags), a])
+        q = quotient_by(gm.fs, [a])
         rep = stability_report(q)
         e.eq(f"quotient aut order (m={m})", rep.base_aut_order, 4)
         e.eq(f"cover aut order (m={m})", rep.cover_aut_order, 8 * m)
@@ -233,7 +233,7 @@ def check_flag_group_agreement(quick: bool = False) -> CheckResult:
         (rc.vertices, rc.edges, rc.faces, rc.chi),
     )
     a = support_involution(6, 7)
-    q = quotient_by(gm7.fs, [identity(5040), gm7.automorphism(a)])
+    q = quotient_by(gm7.fs, [gm7.automorphism(a)])
     qa = quotient_analysis(symmetric_model(7), a)
     e.eq("quotient aut order both ways (n=7)", automorphism_group(q).order, qa.aut_order)
     e.eq(

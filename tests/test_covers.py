@@ -8,6 +8,7 @@ from flagmaps.core import (
     MAP,
     fixed_flag_counts,
     is_isomorphic,
+    relabel,
     surface_invariants,
     two_coloring,
     validate,
@@ -15,7 +16,6 @@ from flagmaps.core import (
 from flagmaps.covers import (
     AlreadyOrientableClosedError,
     NotAnAutomorphismError,
-    NotClosedError,
     NotOrientableClosedError,
     check_automorphism,
     cover_round_trip_ok,
@@ -33,7 +33,7 @@ from flagmaps.families import (
     torus_44,
 )
 from flagmaps.operations import medial
-from flagmaps.perms import compose, identity, is_involution
+from flagmaps.perms import compose, generate_closure, identity, is_involution
 from flagmaps.symmetry import automorphism_group
 from test_core import _random_system
 
@@ -115,16 +115,26 @@ def test_non_permutations_are_not_automorphisms():
         assert str(info.value) == f"element is not a permutation of the {m.flags} flags"
 
 
-def test_quotient_rejects_non_closed_set():
-    k = torus_44("diag", 1)
-    aut = automorphism_group(k)
-    ident = identity(k.flags)
-    rot = next(
-        h for h in aut.elements
-        if h != ident and compose(h, h) != ident
-    )
-    with pytest.raises(NotClosedError):
-        quotient_by(k, [ident, rot])
+def test_quotient_is_by_the_generated_group(map_census_8, hypermap_census_7):
+    """The quotient by some automorphisms is the quotient by the group they
+    generate: by the generators of Aut or all of it, by one generator or
+    its closure, on every census class with |Aut| > 1 and a shuffled copy
+    of each; no automorphisms give the system itself."""
+    rng = random.Random(24)
+    checked = 0
+    for rec in map_census_8 + hypermap_census_7:
+        if rec.aut_order == 1:
+            continue
+        perm = list(range(rec.fs.flags))
+        rng.shuffle(perm)
+        for fs in (rec.fs, relabel(rec.fs, tuple(perm))):
+            aut = automorphism_group(fs)
+            assert quotient_by(fs, aut.generators) == quotient_by(fs, aut.elements)
+            for h in aut.generators:
+                assert quotient_by(fs, [h]) == quotient_by(fs, generate_closure([h]))
+            assert quotient_by(fs, []) == fs
+            checked += 1
+    assert checked > 700
 
 
 def test_quotient_boundary_iff_generator_hits_orbit():

@@ -157,6 +157,11 @@ def _assert_cover_count_matches_brute_force(fs):
     dc = orientable_double_cover(fs)
     check_automorphism(dc.cover, dc.deck)
     assert stability_report(fs).cover_aut_order == len(_brute_force_automorphisms(dc.cover))
+    return _reads_below_0(fs)
+
+
+def _reads_below_0(fs):
+    """Whether a start reads below the labelling of the even words from 0."""
     even = _even_words(fs)
     return core._search(even, ())[0] != core._search(even)[0]
 
@@ -212,6 +217,28 @@ def test_stability_report_walks_only_the_base_flags(map_census_8, hypermap_censu
         shapes.clear()
         assert stability_report(rec.fs, aut).cover_aut_order == rec.cover_aut_order
         assert shapes and all(shape == (2, {rec.fs.flags}) for shape in shapes)
+
+
+def test_stability_report_makes_one_free_walk(map_census_8, hypermap_census_7, monkeypatch):
+    """The walk from flag 0 that decides transitivity also labels the even
+    words for the search, which keeps that labelling: one free walk (no
+    reference rows) per call, also where a start reads below it."""
+    records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
+    auts = [automorphism_group(rec.fs) for rec in records]
+    free, real = [], core._labelling
+
+    def labelling(rows, start):
+        free.append(all(row is None for _, row in rows))
+        return real(rows, start)
+
+    monkeypatch.setattr(core, "_labelling", labelling)
+    below = 0
+    for rec, aut in zip(records, auts):
+        free.clear()
+        assert stability_report(rec.fs, aut).cover_aut_order == rec.cover_aut_order
+        assert free.count(True) == 1
+        below += _reads_below_0(rec.fs)
+    assert below > 100
 
 
 def test_aut_group_equality_follows_the_images_not_the_generators():
@@ -304,8 +331,8 @@ def test_lifted_subgroup_needs_an_integer_index(map_census_8, monkeypatch):
     real_search, real_orbit = symmetry._search, symmetry.orbit_of
     found = []
 
-    def search(fs, starts=None):
-        best, generators = real_search(fs, starts)
+    def search(fs, starts=None, labelled_from_0=False):
+        best, generators = real_search(fs, starts, labelled_from_0)
         found.append(generators)
         return best, generators
 
@@ -362,3 +389,22 @@ def test_a_given_group_must_consist_of_automorphisms(check):
     for bad in ((0, 1), (0,) * disc.flags, swap):
         with pytest.raises(NotAnAutomorphismError):
             check(disc, AutGroup(disc.flags, (0,), (bad,)))
+
+
+@pytest.mark.parametrize("check", [symmetry_class, stability_report])
+def test_the_images_of_a_given_group_are_checked(check):
+    """The images of a given group must be the orbit of flag 0 under its
+    generators: every flag with no generator is not a group, nor is one
+    image with generators that move flag 0."""
+    h = hosohedron(3)
+    disc = quotient_by(h, [reflection_automorphism(h)])
+    aut = automorphism_group(disc)
+    assert aut.order > 1
+    for fs, given in (
+        (h, AutGroup(h.flags, tuple(range(h.flags)), ())),
+        (disc, AutGroup(disc.flags, tuple(range(disc.flags)), ())),
+        (disc, AutGroup(disc.flags, (0,), aut.generators)),
+    ):
+        with pytest.raises(FlagmapsError, match="not its orbit under the given generators"):
+            check(fs, given)
+    check(disc, aut)
