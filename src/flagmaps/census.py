@@ -160,17 +160,19 @@ class CensusRecord:
 
 def analyze(fs: FlagSystem) -> CensusRecord:
     """The invariants, Aut, the symmetry class and, where defined, the
-    stability report of one system, each computed once.
+    stability report of one system, each computed once: the three read
+    one automorphism search, the group ``automorphism_group`` keeps for
+    the last system.
 
     Stability is undefined for orientable boundary-free systems (their
     canonical double cover would be disconnected); those fields are None.
     """
     inv = surface_invariants(fs)
     aut = automorphism_group(fs)
-    sym = symmetry_class(fs, aut)
+    sym = symmetry_class(fs)
     stable = index = cover_order = lifted = None
     if not inv.orientable_no_boundary:
-        rep = stability_report(fs, aut)
+        rep = stability_report(fs)
         stable = rep.stable
         index = rep.instability_index
         cover_order = rep.cover_aut_order
@@ -203,10 +205,15 @@ CSV_HEADER = [
 
 
 def census_csv(records: list[CensusRecord]) -> str:
+    """One CSV row per census record.  The ``canonical`` column is the
+    record's table, which is its canonical form only for a system the
+    census emitted (it records ``_ties``); any other record is an error."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
+        if not hasattr(r.fs, "_ties"):
+            raise FlagmapsError("census_csv takes records of systems the census emitted")
         inv = r.invariants
         writer.writerow([
             r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,

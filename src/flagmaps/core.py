@@ -487,8 +487,7 @@ def is_isomorphic(a: FlagSystem, b: FlagSystem) -> bool:
         return False
     a.require_valid()
     b.require_valid()
-    _, new, _ = _labelling(tuple((g, None) for g in a.gens), 0)
-    rows = tuple(zip(b.gens, relabel(a, new).gens))
+    rows = tuple(zip(b.gens, _labelled(a.gens, 0)[2]))
     return any(_labelling(rows, start)[0] == 0 for start in range(b.flags))
 
 

@@ -232,20 +232,14 @@ class GroupMap:
 
     Generators act by right multiplication; ``automorphism(a)`` is the
     flag permutation induced by left multiplication, giving the full
-    automorphism group as ``a`` ranges over the elements.
+    automorphism group as ``a`` ranges over the elements.  The group may
+    have at most ``CLOSURE_CAP`` elements (``generate_closure``).
     """
 
-    def __init__(
-        self,
-        r0: Perm,
-        r1: Perm,
-        r2: Perm,
-        kind: str = MAP,
-        cap: int = CLOSURE_CAP,
-    ):
+    def __init__(self, r0: Perm, r1: Perm, r2: Perm, kind: str = MAP):
         check_involution_triple(r0, r1, r2, kind)
         self.generators = (r0, r1, r2)
-        elements = sorted(generate_closure([r0, r1, r2], cap))
+        elements = sorted(generate_closure([r0, r1, r2], CLOSURE_CAP))
         self.elements: tuple[Perm, ...] = tuple(elements)
         self._index = {e: i for i, e in enumerate(elements)}
         tables = tuple(
@@ -286,7 +280,6 @@ def nn2_map(m: int) -> GroupMap:
     if m < 1:
         raise BadFamilyParameterError("nn2_map needs m >= 1")
     n = 2 * m
-    size = 4 * n
 
     def idx(i: int, j: int, k: int) -> int:
         return (i % n) * 4 + (j % 2) * 2 + (k % 2)
@@ -302,7 +295,7 @@ def nn2_map(m: int) -> GroupMap:
         return tuple(idx(*mult(e, r)) for e in triples)
 
     r0, r1, r2 = (0, 1, 1), (1, 0, 1), (0, 0, 1)
-    return GroupMap(right_reg(r0), right_reg(r1), right_reg(r2), MAP, cap=size + 1)
+    return GroupMap(right_reg(r0), right_reg(r1), right_reg(r2), MAP)
 
 
 def nn2_quotient_automorphism(gm: GroupMap) -> Perm:
@@ -363,7 +356,7 @@ def symmetric_map(n: int, hypermap: bool = False) -> GroupMap:
         )
     r0, r1, r2 = symmetric_generators(n, hypermap)
     kind = HYPERMAP if hypermap else MAP
-    return GroupMap(r0, r1, r2, kind, cap=math.factorial(n) + 1)
+    return GroupMap(r0, r1, r2, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,14 @@ orbit of a tried start under those found are skipped (McKay & Piperno,
 the automorphisms of the canonical double cover on the base flags, as
 the centralizer of the even words g0 g1 and g1 g2, the map analogue of
 reading Aut(X x K2) off a graph X (Wilson, "Unexpected symmetries in
-unstable graphs", 2008); every given or computed group is checked
-against its system first.
+unstable graphs", 2008).
+
+Aut is a function of the system alone, so both verdicts take the
+system only and read all of Aut from ``automorphism_group``, which
+checks the generators it computes against the system once.  It keeps
+the last system and its group, keyed by identity, so that the consumers
+of one system (``census.analyze``) share one search; the functions stay
+pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from functools import cached_property
 
 from .core import FlagSystem, _labelled, _search
 from .covers import AlreadyOrientableClosedError, check_automorphism
-from .errors import FlagmapsError
 from .perms import Perm, generate_closure, orbit_of
 
 
@@ -65,46 +70,41 @@ class StabilityReport:
     lifted_subgroup_verified: bool
 
 
+# The last system given to automorphism_group and its group.  The key is
+# the system's identity, and the memo holds the system, so its identity
+# cannot pass to another object while the entry stands.  The pair is
+# read once and replaced whole: a race between threads can only
+# recompute a group, never return another system's.
+_last: tuple[object, AutGroup | None] = (object(), None)
+
+
 def automorphism_group(fs: FlagSystem) -> AutGroup:
     """All flag permutations commuting with the three generators: the
-    orbit of flag 0 under the generators of the one search.
+    orbit of flag 0 under the generators of the one search, each checked
+    against ``fs`` (``check_automorphism``).
 
     A census class records the ties of its completed table, the images of
     flag 0 other than 0, and is its own labelling from flag 0; the search
     walks only those ties, against the table itself, and finds the same
-    images and generators as over every start.
+    images and generators as over every start.  A second call on the same
+    system object returns the group of the first.
     """
+    global _last
+    last_fs, last_aut = _last
+    if last_fs is fs:
+        return last_aut
     fs.require_valid()
     generators = _search(fs.gens, getattr(fs, "_ties", None), hasattr(fs, "_ties"))[1]
-    return AutGroup(fs.flags, tuple(sorted(orbit_of(generators, [0]))), tuple(generators))
-
-
-def _group_of(fs: FlagSystem, aut: AutGroup | None) -> AutGroup:
-    """``aut`` if given, else the automorphism group of ``fs``, after
-    validating ``fs``.  A given group must be on as many flags as ``fs``,
-    every generator, given or computed, must be an automorphism of ``fs``
-    (``check_automorphism``), and the images of a given group must be the
-    orbit of flag 0 under its generators, as a computed group's are by
-    construction, so that no verdict rests on a group that is not one."""
-    fs.require_valid()
-    given = aut is not None
-    if not given:
-        aut = automorphism_group(fs)
-    elif aut.flags != fs.flags:
-        raise FlagmapsError(
-            f"automorphism group on {aut.flags} flags given for a system on {fs.flags}"
-        )
-    for h in aut.generators:
+    for h in generators:
         check_automorphism(fs, h)
-    if given and aut.images != tuple(sorted(orbit_of(aut.generators, [0]))):
-        raise FlagmapsError(
-            "the given images of flag 0 are not its orbit under the given generators"
-        )
+    aut = AutGroup(fs.flags, tuple(sorted(orbit_of(generators, [0]))), tuple(generators))
+    _last = (fs, aut)
     return aut
 
 
-def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass:
-    """Regularity and edge-transitivity of the automorphism action.
+def symmetry_class(fs: FlagSystem) -> SymmetryClass:
+    """Regularity and edge-transitivity of the action of Aut, all of it
+    (``automorphism_group``).
 
     Regular means the group is transitive (hence regular) on flags;
     edge-regular means transitive on edge cells with order equal to the
@@ -113,7 +113,7 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
     the edge cell of flag 0, every flag exactly when Aut is edge-transitive,
     and then there are flags / |cell of 0| edges.
     """
-    aut = _group_of(fs, aut)
+    aut = automorphism_group(fs)
     g0, _, g2 = fs.gens
     edge_transitive = len(orbit_of(aut.generators + (g0, g2), [0])) == fs.flags
     return SymmetryClass(
@@ -123,15 +123,15 @@ def symmetry_class(fs: FlagSystem, aut: AutGroup | None = None) -> SymmetryClass
     )
 
 
-def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityReport:
+def stability_report(fs: FlagSystem) -> StabilityReport:
     """Compare the automorphisms of a system with those of its canonical
     double cover, counted on the base flags; no cover is built.
 
     The lifts of the base group together with the deck involution form a
     cover subgroup of order 2 |Aut base|; the system is stable exactly
     when that subgroup is everything, i.e. the instability index
-    |Aut cover| / (2 |Aut base|) equals 1.  ``aut``, when given, is the
-    base group already computed.
+    |Aut cover| / (2 |Aut base|) equals 1.  Aut base is all of Aut
+    (``automorphism_group``), so the verdict rests on no partial group.
 
     The cover has flags (f, s), s = +/-, and generators (f, s) ->
     (g_i f, -s); let e = (g0 g1, g1 g2), the even words.
@@ -156,8 +156,9 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
       (``core._search``), and the walk's order maps the orbit of 0 back.
     - The lift of a base automorphism h is h on both sheets; it commutes
       with the cover generators iff h commutes with each g_i, which
-      ``_group_of`` checks (``check_automorphism``), failing at the same
-      generator and flag as the check on the cover.
+      ``automorphism_group`` checks on the generators it computes
+      (``check_automorphism``), failing at the same generator and flag as
+      the check on the cover.
 
     The subgroup is verified when the orbit of flag 0 under the base
     generators has |Aut base| flags, all in its orbit under Aut+, and
@@ -165,7 +166,7 @@ def stability_report(fs: FlagSystem, aut: AutGroup | None = None) -> StabilityRe
     the base generators, so the check stays independent of the count.
     The deck is an automorphism by construction (``DoubleCover.deck``).
     """
-    aut = _group_of(fs, aut)
+    aut = automorphism_group(fs)
     even = tuple(tuple([b[x] for x in a]) for a, b in zip(fs.gens, fs.gens[1:]))  # g0 g1, g1 g2
     _, order, tables = _labelled(even, 0)
     if len(order) < fs.flags:

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from flagmaps.census import (
+    analyze,
     census_csv,
     census_summary,
     enumerate_flag_systems,
@@ -19,6 +20,7 @@ from flagmaps.core import (
 )
 from flagmaps.covers import orientable_double_cover
 from flagmaps.errors import FlagmapsError
+from flagmaps.families import torus_44
 from flagmaps.perms import orbits
 from flagmaps.symmetry import automorphism_group
 from flagmaps.verify import naive_class_counts
@@ -72,6 +74,15 @@ def test_census_csvs_are_byte_identical(map_census_12, hypermap_census_10):
     for records, prefix in ((map_census_12, "46839a39e757"), (hypermap_census_10, "2ab246fc4263")):
         digest = hashlib.sha256(census_csv(records).encode()).hexdigest()
         assert digest[:12] == prefix
+
+
+def test_census_csv_takes_only_census_records():
+    """The canonical column is the table itself, right only for a class the
+    census emitted; a map built elsewhere is labelled otherwise."""
+    rec = analyze(torus_44("diag", 1))
+    assert encode(rec.fs) != canonical_form(rec.fs)
+    with pytest.raises(FlagmapsError, match="the census emitted"):
+        census_csv([rec])
 
 
 def test_no_two_isomorphic(map_census_8, hypermap_census_7):

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from flagmaps import families
 from flagmaps.core import canonical_form, is_isomorphic, surface_invariants, validate
 from flagmaps.covers import orientation_action, quotient_by
 from flagmaps.families import (
@@ -153,7 +154,7 @@ def test_group_map_icosahedral(icosa):
     assert symmetry_class(fs).regular
 
 
-def test_group_map_errors():
+def test_group_map_errors(monkeypatch):
     r0 = parse_cycles("(1,2)", 5)
     rho = parse_cycles("(1,2,3,4,5)", 5)
     with pytest.raises(NotInvolutionError):
@@ -162,8 +163,9 @@ def test_group_map_errors():
         GroupMap(identity(5), r0, r0)
     r1 = parse_cycles("(2,5)(3,4)", 5)
     r2 = parse_cycles("(1,2)(3,5)", 5)
+    monkeypatch.setattr(families, "CLOSURE_CAP", 10)
     with pytest.raises(ClosureOverflowError):
-        GroupMap(r0, r1, r2, cap=10)
+        GroupMap(r0, r1, r2)
 
 
 def test_nn2_map_structure():

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flagmaps.census import analyze, enumerate_flag_systems
 from flagmaps.covers import (
     AlreadyOrientableClosedError,
     NotAnAutomorphismError,
@@ -38,8 +40,7 @@ from flagmaps.core import (
     relabel,
     surface_invariants,
 )
-from flagmaps.errors import FlagmapsError
-from flagmaps.perms import block_index, compose, identity
+from flagmaps.perms import block_index, compose, identity, orbit_of
 from flagmaps.symmetry import (
     AutGroup,
     automorphism_group,
@@ -106,7 +107,7 @@ def _assert_matches_brute_force(fs):
     eblocks = edge_cells(fs)
     cell_of = block_index(eblocks, fs.flags)
     reached = {cell_of[h[eblocks[0][0]]] for h in brute}
-    sym = symmetry_class(fs, aut)
+    sym = symmetry_class(fs)
     assert sym.edge_transitive == (len(reached) == len(eblocks))
     assert sym.edge_regular == (sym.edge_transitive and len(brute) == len(eblocks))
     return brute
@@ -201,8 +202,9 @@ def test_stability_is_refused_exactly_where_the_cover_is_on_random_systems(kind,
 
 
 def test_stability_report_walks_only_the_base_flags(map_census_8, hypermap_census_7, monkeypatch):
+    """With the base group kept from a first call, every walk is of the two
+    even words on the base flags: no cover, and no second base search."""
     records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
-    auts = [automorphism_group(rec.fs) for rec in records]
     shapes, real = [], core._labelling
 
     def labelling(rows, start):
@@ -210,12 +212,12 @@ def test_stability_report_walks_only_the_base_flags(map_census_8, hypermap_censu
         return real(rows, start)
 
     monkeypatch.setattr(core, "_labelling", labelling)
-    monkeypatch.delattr(symmetry, "automorphism_group")
     assert not hasattr(symmetry, "orientable_double_cover")
     assert not hasattr(symmetry, "lift_automorphisms")
-    for rec, aut in zip(records, auts):
+    for rec in records:
+        automorphism_group(rec.fs)
         shapes.clear()
-        assert stability_report(rec.fs, aut).cover_aut_order == rec.cover_aut_order
+        assert stability_report(rec.fs).cover_aut_order == rec.cover_aut_order
         assert shapes and all(shape == (2, {rec.fs.flags}) for shape in shapes)
 
 
@@ -224,7 +226,6 @@ def test_stability_report_makes_one_free_walk(map_census_8, hypermap_census_7, m
     words for the search, which keeps that labelling: one free walk (no
     reference rows) per call, also where a start reads below it."""
     records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
-    auts = [automorphism_group(rec.fs) for rec in records]
     free, real = [], core._labelling
 
     def labelling(rows, start):
@@ -233,9 +234,10 @@ def test_stability_report_makes_one_free_walk(map_census_8, hypermap_census_7, m
 
     monkeypatch.setattr(core, "_labelling", labelling)
     below = 0
-    for rec, aut in zip(records, auts):
+    for rec in records:
+        automorphism_group(rec.fs)
         free.clear()
-        assert stability_report(rec.fs, aut).cover_aut_order == rec.cover_aut_order
+        assert stability_report(rec.fs).cover_aut_order == rec.cover_aut_order
         assert free.count(True) == 1
         below += _reads_below_0(rec.fs)
     assert below > 100
@@ -342,69 +344,132 @@ def test_lifted_subgroup_needs_an_integer_index(map_census_8, monkeypatch):
             out.add(min(set(range(rec.fs.flags)) - out))
         return out
 
-    aut = automorphism_group(rec.fs)
+    automorphism_group(rec.fs)  # the base group is kept: only the even words are searched
     monkeypatch.setattr(symmetry, "_search", search)
     monkeypatch.setattr(symmetry, "orbit_of", orbit)
-    rep = stability_report(rec.fs, aut)
+    rep = stability_report(rec.fs)
     assert rep.cover_aut_order == rec.cover_aut_order + 2
     assert not rep.lifted_subgroup_verified and not rep.stable
 
 
-def test_stability_report_reuses_the_given_base_group(map_census_8, hypermap_census_7):
-    checked = 0
-    for rec in map_census_8 + hypermap_census_7:
-        if rec.invariants.orientable_no_boundary:
-            continue
-        aut = automorphism_group(rec.fs)
-        assert stability_report(rec.fs, aut) == stability_report(rec.fs)
-        checked += 1
-    assert checked > 100
+def _family_quotients():
+    h, s, k, gm = hosohedron(5), semi_star(4), torus_44("diag", 1), nn2_map(2)
+    return [
+        quotient_by(h, [reflection_automorphism(h)]),
+        quotient_by(s, [reflection_automorphism(s)]),
+        quotient_by(k, [glide_automorphism(k)]),
+        quotient_by(gm.fs, [nn2_quotient_automorphism(gm)]),
+    ]
 
 
-def test_a_given_group_is_checked_against_its_system():
-    """A group on the wrong number of flags, or an invalid system, is an
-    error, not a verdict or an IndexError."""
-    small = AutGroup(4, (0,), ())
-    with pytest.raises(FlagmapsError, match="on 4 flags given for a system on 12"):
-        symmetry_class(hosohedron(3), small)
-    h = hosohedron(3)
-    disc = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
-    with pytest.raises(FlagmapsError, match="on 4 flags given for a system on 6"):
-        stability_report(disc, small)
+def test_analyze_makes_one_base_search(monkeypatch):
+    """Aut, the symmetry class and the stability report of one system read
+    one base search, and that group gives the verdicts a fresh search on
+    an equal copy gives."""
+    systems = list(enumerate_flag_systems(7, MAP)) + list(enumerate_flag_systems(6, HYPERMAP))
+    systems += _family_quotients()
+    real, base = symmetry._search, []
+
+    def search(gens, starts=None, labelled_from_0=False):
+        if len(gens) == 3:  # the base search; the even words are two tables
+            base.append(gens)
+        return real(gens, starts, labelled_from_0)
+
+    monkeypatch.setattr(symmetry, "_search", search)
+    stability = 0
+    for fs in systems:
+        base.clear()
+        rec = analyze(fs)
+        assert len(base) == 1
+        copy = FlagSystem(fs.kind, fs.flags, *fs.gens)
+        assert automorphism_group(copy).order == rec.aut_order
+        sym = symmetry_class(copy)
+        assert (sym.regular, sym.edge_transitive, sym.edge_regular) == (
+            rec.regular, rec.edge_transitive, rec.edge_regular)
+        if rec.stable is not None:
+            rep = stability_report(copy)
+            assert (rep.stable, rep.instability_index, rep.cover_aut_order) == (
+                rec.stable, rec.instability_index, rec.cover_aut_order)
+            assert rep.lifted_subgroup_verified == rec.lifted_subgroup_verified
+            stability += 1
+        assert len(base) == 2
+    assert stability > 100
+
+
+def test_the_memo_never_serves_a_stale_group():
+    """Two systems, equal but distinct copies of each, one with list tables,
+    and systems that live for one call only, in turn: every answer equals
+    a fresh search on the tables."""
+
+    def fresh(fs):
+        gens = core._search(fs.gens)[1]
+        return AutGroup(fs.flags, tuple(sorted(orbit_of(gens, [0]))), tuple(gens))
+
+    a, b, disc = hosohedron(5), torus_44("diag", 1), _family_quotients()[0]
+    a2, b2 = (FlagSystem(fs.kind, fs.flags, *fs.gens) for fs in (a, b))
+    listed = FlagSystem(disc.kind, disc.flags, *(list(g) for g in disc.gens))
+    for fs in (a, b, a2, b2, a, a, listed, b, listed, a2, disc, listed, b2):
+        assert automorphism_group(fs) == fresh(fs)
+    assert stability_report(listed) == stability_report(disc)
+    assert symmetry_class(listed) == symmetry_class(disc)
+    eight = [fs for fs in enumerate_flag_systems(8, MAP) if fs.flags == 8]
+    one, other = eight[0], next(fs for fs in eight if fresh(fs) != fresh(eight[0]))
+    expected = {fs: fresh(fs) for fs in (one, other)}
+    for fs in (one, other) * 4:
+        # the copy is dropped after the call, so the next may reuse its id
+        assert automorphism_group(FlagSystem(fs.kind, fs.flags, *fs.gens)) == expected[fs]
+
+
+def test_threads_sharing_the_memo_get_their_own_groups():
+    """Four threads alternate two systems at a short switch interval, so
+    that one often asks for the system whose search another is running:
+    a memo keyed before its group is stored would pair a system with
+    another system's group."""
+    systems = [hosohedron(10), torus_44("diag", 2)]
+    expected = [automorphism_group(FlagSystem(fs.kind, fs.flags, *fs.gens)) for fs in systems]
+    wrong = []
+
+    def work():
+        for i in range(300):
+            if automorphism_group(systems[i % 2]) != expected[i % 2]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_an_invalid_system_is_an_error():
+    """An invalid system is an error, not a verdict or an IndexError."""
     not_involution = FlagSystem(MAP, 4, (1, 2, 3, 0), identity(4), identity(4))
-    for check in (symmetry_class, stability_report):
+    for check in (automorphism_group, symmetry_class, stability_report):
         with pytest.raises(InvalidFlagSystemError):
-            check(not_involution, small)
+            check(not_involution)
 
 
 @pytest.mark.parametrize("check", [symmetry_class, stability_report])
-def test_a_given_group_must_consist_of_automorphisms(check):
-    """A generator that is not a permutation of the flags, or one that does
-    not commute with the generators, is an error, not a verdict or an
-    IndexError."""
-    h = hosohedron(3)
-    disc = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
-    swap = (1, 0) + tuple(range(2, disc.flags))
-    assert any(compose(swap, g) != compose(g, swap) for g in disc.gens)
-    for bad in ((0, 1), (0,) * disc.flags, swap):
-        with pytest.raises(NotAnAutomorphismError):
-            check(disc, AutGroup(disc.flags, (0,), (bad,)))
-
-
-@pytest.mark.parametrize("check", [symmetry_class, stability_report])
-def test_the_images_of_a_given_group_are_checked(check):
-    """The images of a given group must be the orbit of flag 0 under its
-    generators: every flag with no generator is not a group, nor is one
-    image with generators that move flag 0."""
+def test_the_computed_generators_are_checked(check, monkeypatch):
+    """A generator the base search returns that is not a permutation of the
+    flags, or one that does not commute with the generators, is an error,
+    not a verdict or an IndexError, and the memo keeps no group for it."""
     h = hosohedron(3)
     disc = quotient_by(h, [reflection_automorphism(h)])
-    aut = automorphism_group(disc)
-    assert aut.order > 1
-    for fs, given in (
-        (h, AutGroup(h.flags, tuple(range(h.flags)), ())),
-        (disc, AutGroup(disc.flags, tuple(range(disc.flags)), ())),
-        (disc, AutGroup(disc.flags, (0,), aut.generators)),
-    ):
-        with pytest.raises(FlagmapsError, match="not its orbit under the given generators"):
-            check(fs, given)
-    check(disc, aut)
+    swap = (1, 0) + tuple(range(2, disc.flags))
+    assert any(compose(swap, g) != compose(g, swap) for g in disc.gens)
+    real = symmetry._search
+    for bad in ((0, 1), (0,) * disc.flags, swap):
+        with monkeypatch.context() as m:
+            m.setattr(symmetry, "_search", lambda gens, *rest: (
+                (real(gens, *rest)[0], [bad]) if len(gens) == 3 else real(gens, *rest)))
+            with pytest.raises(NotAnAutomorphismError):
+                check(disc)
+    assert check(disc) == check(FlagSystem(disc.kind, disc.flags, *disc.gens))
