@@ -16,7 +16,7 @@ from .core import (
     validate,
 )
 from .covers import (
-    DoubleCover,
+    deck,
     lift_automorphisms,
     orientable_double_cover,
     orientation_action,
@@ -39,7 +39,6 @@ __all__ = [
     "HYPERMAP",
     "MAP",
     "AutGroup",
-    "DoubleCover",
     "FlagSystem",
     "FlagmapsError",
     "Genus",
@@ -52,6 +51,7 @@ __all__ = [
     "boundary_components",
     "canonical_form",
     "compose",
+    "deck",
     "dual",
     "export_diagram",
     "format_cycles",

@@ -217,7 +217,7 @@ def census_csv(records: list[CensusRecord]) -> str:
         inv = r.invariants
         writer.writerow([
             r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
-            int(inv.orientable), inv.boundary_components or 0,
+            int(inv.orientable), inv.boundary_components,
             inv.genus.surface, inv.genus.value,
             r.aut_order, int(r.regular), int(r.edge_transitive),
             int(r.edge_regular),

@@ -11,7 +11,7 @@ import sys
 
 from .census import analyze, census_csv, census_summary, stability_census
 from .core import HYPERMAP, MAP, FlagSystem, export_diagram
-from .covers import orientable_double_cover, quotient_by
+from .covers import deck, orientable_double_cover, quotient_by
 from .errors import FlagmapsError
 from .families import (
     glide_automorphism,
@@ -84,7 +84,7 @@ def analysis_summary(fs: FlagSystem) -> dict:
         "faces": inv.faces,
         "chi": inv.chi,
         "orientable": inv.orientable,
-        "boundaryComponents": inv.boundary_components or 0,
+        "boundaryComponents": inv.boundary_components,
         "genus": str(inv.genus),
         "type": list(inv.type_signature),
         "faceSizes": list(inv.face_sizes),
@@ -142,9 +142,9 @@ def _analyze(args: argparse.Namespace) -> int:
 
 def _cover(args: argparse.Namespace) -> int:
     fs = _read_system(args.file)
-    dc = orientable_double_cover(fs)
-    _write_output(serialize(dc.cover), args.out)
-    print(f"deck: {format_cycles(dc.deck)}", file=sys.stderr if not args.out else sys.stdout)
+    cover = orientable_double_cover(fs)
+    _write_output(serialize(cover), args.out)
+    print(f"deck: {format_cycles(deck(cover))}", file=sys.stderr if not args.out else sys.stdout)
     return 0
 
 

@@ -169,17 +169,6 @@ def _pair_walk(fs: FlagSystem, i: int, j: int) -> tuple[list, list]:
     return blocks, ends
 
 
-def cells(fs: FlagSystem, i: int, j: int) -> list[tuple[int, ...]]:
-    """Orbits of the dihedral pair <g_i, g_j> on flags, each sorted, listed
-    by least flag."""
-    fs.require_valid()
-    return [tuple(sorted(block)) for block in _pair_walk(fs, i, j)[0]]
-
-
-def edge_cells(fs: FlagSystem) -> list[tuple[int, ...]]:
-    return cells(fs, 0, 2)
-
-
 def fixed_flag_counts(fs: FlagSystem) -> tuple[int, int, int]:
     return tuple(
         sum(1 for f in range(fs.flags) if g[f] == f) for g in fs.gens
@@ -234,12 +223,15 @@ class Genus:
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
+    """What ``surface_invariants`` computes; ``boundary_components`` is
+    the number of boundary circuits, 0 on a closed surface."""
+
     vertices: int
     edges: int
     faces: int
     fixed_flags: tuple[int, int, int]
     has_boundary: bool
-    boundary_components: int | None
+    boundary_components: int
     chi: int
     orientable: bool
     orientable_no_boundary: bool
@@ -279,8 +271,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     orientable = two_coloring(fs) is not None
     orientable_closed = orientable and not has_boundary
 
-    boundary_comps = _circuits(walks) if has_boundary else None
-    b = boundary_comps or 0
+    b = _circuits(walks) if has_boundary else 0
     genus = Genus(
         "bordered" if has_boundary else "orientable" if orientable else "nonorientable",
         (2 - chi - b) // 2 if orientable else 2 - chi - b,
@@ -299,7 +290,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
         faces=f,
         fixed_flags=fixed,
         has_boundary=has_boundary,
-        boundary_components=boundary_comps,
+        boundary_components=b,
         chi=chi,
         orientable=orientable,
         orientable_no_boundary=orientable_closed,
@@ -308,10 +299,6 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
         vertex_degrees=vertex_degrees,
         type_signature=type_signature,
     )
-
-
-class NoBoundaryError(FlagmapsError):
-    """boundary_components called on a closed system."""
 
 
 def _circuits(walks) -> int:
@@ -340,11 +327,9 @@ def _circuits(walks) -> int:
 
 
 def boundary_components(fs: FlagSystem) -> int:
-    """Number of boundary circuits of the underlying surface."""
-    fs.require_valid()
-    if not any(fixed_flag_counts(fs)):
-        raise NoBoundaryError("system has no boundary")
-    return _circuits([_pair_walk(fs, i, j) for i, j in _PAIRS])
+    """Number of boundary circuits of the underlying surface, 0 when it
+    is closed: ``surface_invariants(fs).boundary_components``."""
+    return surface_invariants(fs).boundary_components
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 The canonical double cover of a non-orientable or bordered system lives
 on flag pairs (f, sign); every generator flips the sign, so the cover is
 orientable with empty boundary, and the deck involution (f, s) -> (f, -s)
-is a fixed-point-free orientation-reversing automorphism.
+is a fixed-point-free orientation-reversing automorphism.  The cover is
+a plain FlagSystem in the sheet layout: for n base flags, cover flag f
+is (f, +) and f + n is (f, -).  Only ``deck`` and ``lift_automorphisms``
+read that layout from a cover.
 
 A quotient is by the group that some automorphisms generate, such as
 M/<a> for the one automorphism a of each of the paper's unstable
@@ -12,7 +15,6 @@ families; its flags are the orbits of that group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import FlagSystem, _valid, canonical_form, fixed_flag_counts, two_coloring
@@ -47,24 +49,6 @@ class NotAnAutomorphismError(FlagmapsError):
         self.flag = flag
 
 
-@dataclass(frozen=True)
-class DoubleCover:
-    """A double cover in the sheet layout: cover flag f is (f, +) and
-    f + n is (f, -), for the n flags of the base."""
-
-    cover: FlagSystem
-
-    @property
-    def base_flags(self) -> int:
-        return self.cover.flags // 2
-
-    @property
-    def deck(self) -> Perm:
-        """The involution (f, s) -> (f, -s)."""
-        n = self.base_flags
-        return tuple(range(n, 2 * n)) + tuple(range(n))
-
-
 def check_automorphism(fs: FlagSystem, h: Perm) -> None:
     """Raise NotAnAutomorphismError unless h is a permutation of the flags
     that commutes with every generator."""
@@ -76,14 +60,14 @@ def check_automorphism(fs: FlagSystem, h: Perm) -> None:
                 raise NotAnAutomorphismError(h, i, f)
 
 
-def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
+def orientable_double_cover(fs: FlagSystem) -> FlagSystem:
     """Build the canonical orientable boundary-free double cover.
 
-    Cover flags are indexed (f, +) = f and (f, -) = f + F, and a cover
-    generator sends (f, s) to (g f, -s).  Raises
-    AlreadyOrientableClosedError when (0, -) is outside the orbit O of
-    (0, +), that is when the input is orientable with empty boundary and
-    the construction falls apart into two copies of it.
+    The cover is in the sheet layout, (f, +) = f and (f, -) = f + n for
+    the n input flags, and a cover generator sends (f, s) to (g f, -s).
+    Raises AlreadyOrientableClosedError when (0, -) is outside the orbit
+    O of (0, +), that is when the input is orientable with empty boundary
+    and the construction falls apart into two copies of it.
 
     The cover of a valid input is valid by construction (``core._valid``):
     - it has the input's kind and twice its flags;
@@ -100,18 +84,19 @@ def orientable_double_cover(fs: FlagSystem) -> DoubleCover:
     """
     fs.require_valid()
     n = fs.flags
-    tables = []
-    for g in fs.gens:
-        img = [0] * (2 * n)
-        for f in range(n):
-            img[f] = g[f] + n
-            img[f + n] = g[f]
-        tables.append(tuple(img))
+    tables = [tuple([x + n for x in g]) + tuple(g) for g in fs.gens]
     if n not in orbit_of(tables, [0]):
         raise AlreadyOrientableClosedError(
             "input is already orientable with empty boundary"
         )
-    return DoubleCover(_valid(FlagSystem(fs.kind, 2 * n, *tables)))
+    return _valid(FlagSystem(fs.kind, 2 * n, *tables))
+
+
+def deck(cover: FlagSystem) -> Perm:
+    """The deck involution (f, s) -> (f, -s) of a cover in the sheet
+    layout of ``orientable_double_cover``."""
+    n = cover.flags // 2
+    return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
 def quotient_by(fs: FlagSystem, generators: Iterable[Perm]) -> FlagSystem:
@@ -168,8 +153,9 @@ def orientation_action(fs: FlagSystem, aut: Perm) -> str:
     )
 
 
-def lift_automorphisms(dc: DoubleCover, aut: Perm) -> tuple[Perm, Perm]:
-    """The two cover automorphisms projecting to a base automorphism h = aut:
+def lift_automorphisms(cover: FlagSystem, aut: Perm) -> tuple[Perm, Perm]:
+    """The two automorphisms of ``cover``, a cover in the sheet layout,
+    projecting to a base automorphism h = aut:
     (f, s) -> (h f, s), and its product with the deck, (f, s) -> (h f, -s).
 
     A cover generator sends (f, s) to (g f, -s), so the first commutes
@@ -177,16 +163,15 @@ def lift_automorphisms(dc: DoubleCover, aut: Perm) -> tuple[Perm, Perm]:
     where the first failure lies on the + sheet, at the generator and
     base flag where h itself first fails to commute.
     """
-    n = dc.base_flags
+    n = cover.flags // 2
     if len(aut) != n or not is_perm(aut):
         raise NotAnAutomorphismError(aut, -1, -1, n)
     lift = tuple(aut) + tuple(h + n for h in aut)
-    check_automorphism(dc.cover, lift)
+    check_automorphism(cover, lift)
     return lift, lift[n:] + lift[:n]
 
 
 def cover_round_trip_ok(fs: FlagSystem) -> bool:
     """quotient(cover(fs), <deck>) is isomorphic to fs."""
-    dc = orientable_double_cover(fs)
-    back = quotient_by(dc.cover, [dc.deck])
-    return canonical_form(back) == canonical_form(fs)
+    cover = orientable_double_cover(fs)
+    return canonical_form(quotient_by(cover, [deck(cover)])) == canonical_form(fs)

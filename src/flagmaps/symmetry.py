@@ -164,7 +164,7 @@ def stability_report(fs: FlagSystem) -> StabilityReport:
     generators has |Aut base| flags, all in its orbit under Aut+, and
     2 |Aut base| divides |Aut cover|.  The search is never seeded with
     the base generators, so the check stays independent of the count.
-    The deck is an automorphism by construction (``DoubleCover.deck``).
+    The deck is an automorphism by construction (``covers.deck``).
     """
     aut = automorphism_group(fs)
     even = tuple(tuple([b[x] for x in a]) for a, b in zip(fs.gens, fs.gens[1:]))  # g0 g1, g1 g2

@@ -23,7 +23,7 @@ from flagmaps.errors import FlagmapsError
 from flagmaps.families import torus_44
 from flagmaps.perms import orbits
 from flagmaps.symmetry import automorphism_group
-from flagmaps.verify import naive_class_counts
+from flagmaps.verify import _cycle_count, naive_class_counts
 
 
 def test_single_flag_census():
@@ -128,23 +128,33 @@ def test_orientable_closed_iff_even_subgroup_has_two_orbits(hypermap_census_7):
 
 
 def test_barycentric_matches_naive_on_clean_maps(map_census_8):
-    from flagmaps.core import edge_cells, fixed_flag_counts
+    from flagmaps.core import fixed_flag_counts
 
     for rec in map_census_8:
         if any(fixed_flag_counts(rec.fs)):
             continue
-        if any(len(c) != 4 for c in edge_cells(rec.fs)):
+        if any(len(c) != 4 for c in orbits([rec.fs.g0, rec.fs.g2], rec.fs.flags)):
             continue
         inv = rec.invariants
         assert inv.chi == inv.vertices - inv.edges + inv.faces
 
 
-def test_cover_chi_doubles(map_census_8):
-    for rec in map_census_8:
+def test_cover_chi_doubles(map_census_8, hypermap_census_7):
+    """The cover's chi doubles the base's, and criterion 09's formula from
+    the cycles of the three products on the base flags gives the chi of
+    the built cover."""
+    covers = 0
+    for rec in map_census_8 + hypermap_census_7:
         if rec.stable is None:
             continue
-        cover = orientable_double_cover(rec.fs).cover
-        assert surface_invariants(cover).chi == 2 * rec.invariants.chi
+        cover = orientable_double_cover(rec.fs)
+        chi = surface_invariants(cover).chi
+        assert chi == 2 * rec.invariants.chi
+        g0, g1, g2 = rec.fs.gens
+        cells = _cycle_count(g0, g1) + _cycle_count(g1, g2) + _cycle_count(g0, g2)
+        assert cells - rec.fs.flags == chi
+        covers += 1
+    assert covers > 1000
 
 
 def test_csv_format(map_census_8):

@@ -145,6 +145,14 @@ def test_cli_cover_and_quotient(tmp_path, capsys):
     assert parse(cov.read_text()).flags == 20
     deckline = capsys.readouterr().out
     assert "deck:" in deckline
+    # the sheet layout: base flag f is cover flag f on the + sheet and f + 10 on the -
+    assert cov.read_text() == (
+        '{"kind":"map","flags":20,'
+        '"r0":[15,16,17,18,19,10,11,12,13,14,5,6,7,8,9,0,1,2,3,4],'
+        '"r1":[11,10,13,12,14,16,15,18,17,19,1,0,3,2,4,6,5,8,7,9],'
+        '"r2":[10,12,11,14,13,15,17,16,19,18,0,2,1,4,3,5,7,6,9,8]}\n'
+    )
+    assert deckline == "deck: (1,11)(2,12)(3,13)(4,14)(5,15)(6,16)(7,17)(8,18)(9,19)(10,20)\n"
 
 
 def test_cli_cover_error_exit_code(tmp_path, capsys):

@@ -9,11 +9,10 @@ from flagmaps.core import (
     MAP,
     FlagSystem,
     InvalidFlagSystemError,
-    NoBoundaryError,
     _labelling,
+    _pair_walk,
     boundary_components,
     canonical_form,
-    cells,
     encode,
     export_diagram,
     is_isomorphic,
@@ -167,9 +166,9 @@ def test_boundary_components_semi_star_quotient():
         assert inv.chi == 2 - inv.genus.value - b
 
 
-def test_boundary_components_requires_boundary():
-    with pytest.raises(NoBoundaryError):
-        boundary_components(hosohedron(3))
+def test_boundary_components_reads_0_when_closed():
+    h = hosohedron(3)
+    assert boundary_components(h) == surface_invariants(h).boundary_components == 0
 
 
 def _reference_boundary_components(fs):
@@ -207,7 +206,8 @@ def _g1_orbits_per_cell(fs, i, j):
 
 def _assert_walk_matches_orbits(fs):
     for i, j in ((1, 2), (0, 2), (0, 1)):
-        assert cells(fs, i, j) == orbits([fs.gen(i), fs.gen(j)], fs.flags)
+        blocks = [tuple(sorted(block)) for block in _pair_walk(fs, i, j)[0]]
+        assert blocks == orbits([fs.gen(i), fs.gen(j)], fs.flags)
     inv = surface_invariants(fs)
     assert inv.face_sizes == _g1_orbits_per_cell(fs, 0, 1)
     assert inv.vertex_degrees == _g1_orbits_per_cell(fs, 1, 2)
@@ -215,7 +215,7 @@ def _assert_walk_matches_orbits(fs):
         want = _reference_boundary_components(fs)
         assert boundary_components(fs) == inv.boundary_components == want
     else:
-        assert inv.boundary_components is None
+        assert boundary_components(fs) == inv.boundary_components == 0
     return inv.has_boundary
 
 

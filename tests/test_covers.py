@@ -19,6 +19,7 @@ from flagmaps.covers import (
     NotOrientableClosedError,
     check_automorphism,
     cover_round_trip_ok,
+    deck,
     lift_automorphisms,
     orientable_double_cover,
     orientation_action,
@@ -44,26 +45,27 @@ def klein_bottle_map():
 
 
 def test_cover_of_k6_is_icosahedral(icosa, k6):
-    dc = orientable_double_cover(k6)
-    assert dc.cover.flags == 120
-    assert is_isomorphic(dc.cover, icosa)
-    inv = surface_invariants(dc.cover)
+    cover = orientable_double_cover(k6)
+    assert cover.flags == 120
+    assert is_isomorphic(cover, icosa)
+    inv = surface_invariants(cover)
     assert inv.chi == 2 * surface_invariants(k6).chi
     assert not inv.has_boundary and inv.orientable
 
 
 def test_cover_properties():
     k, m = klein_bottle_map()
-    dc = orientable_double_cover(m)
-    assert is_isomorphic(dc.cover, k)
-    assert is_involution(dc.deck)
-    assert all(dc.deck[f] != f for f in range(dc.cover.flags))
-    for g in dc.cover.gens:
-        assert compose(dc.deck, g) == compose(g, dc.deck)
-    assert orientation_action(dc.cover, dc.deck) == "reversing"
+    cover = orientable_double_cover(m)
+    d = deck(cover)
+    assert is_isomorphic(cover, k)
+    assert is_involution(d)
+    assert all(d[f] != f for f in range(cover.flags))
+    for g in cover.gens:
+        assert compose(d, g) == compose(g, d)
+    assert orientation_action(cover, d) == "reversing"
     # generators flip the sheet and project to the base generators
     n = m.flags
-    for gc, gb in zip(dc.cover.gens, m.gens):
+    for gc, gb in zip(cover.gens, m.gens):
         for f in range(n):
             assert gc[f] == gb[f] + n
             assert gc[f] % n == gb[f]
@@ -72,7 +74,7 @@ def test_cover_properties():
 def test_cover_of_disc_quotient_is_parent():
     h = hosohedron(5)
     q = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
-    assert is_isomorphic(orientable_double_cover(q).cover, h)
+    assert is_isomorphic(orientable_double_cover(q), h)
 
 
 def test_cover_rejects_orientable_closed():
@@ -172,20 +174,20 @@ def test_orientation_action_basics():
 
 def test_lift_identity_gives_deck_pair():
     _, m = klein_bottle_map()
-    dc = orientable_double_cover(m)
-    lifts = lift_automorphisms(dc, identity(m.flags))
-    assert set(lifts) == {identity(dc.cover.flags), dc.deck}
+    cover = orientable_double_cover(m)
+    lifts = lift_automorphisms(cover, identity(m.flags))
+    assert set(lifts) == {identity(cover.flags), deck(cover)}
 
 
 def test_lifted_subgroup_inside_cover_group():
     _, m = klein_bottle_map()
-    dc = orientable_double_cover(m)
+    cover = orientable_double_cover(m)
     base_aut = automorphism_group(m)
-    cover_aut = automorphism_group(dc.cover)
+    cover_aut = automorphism_group(cover)
     lifted = set()
     for h in base_aut.elements:
-        pair = lift_automorphisms(dc, h)
-        assert compose(pair[0], dc.deck) == pair[1]
+        pair = lift_automorphisms(cover, h)
+        assert compose(pair[0], deck(cover)) == pair[1]
         for lift in pair:
             assert lift[0] % m.flags == h[0]
         lifted.update(pair)
@@ -217,11 +219,12 @@ def test_lifts_are_the_cover_ties(map_census_8, hypermap_census_7):
     the identity)."""
     lifted = 0
     for fs in _covered(map_census_8, hypermap_census_7):
-        dc = orientable_double_cover(fs)
+        cover = orientable_double_cover(fs)
+        d = deck(cover)
         for h in automorphism_group(fs).elements:
-            lift, other = lift_automorphisms(dc, h)
-            assert lift == _automorphism_from(dc.cover, h[0])
-            assert other == compose(dc.deck, lift) == compose(lift, dc.deck)
+            lift, other = lift_automorphisms(cover, h)
+            assert lift == _automorphism_from(cover, h[0])
+            assert other == compose(d, lift) == compose(lift, d)
             lifted += 1
     assert lifted > 2000
 
@@ -232,7 +235,7 @@ def test_lift_fails_where_the_base_fails_to_commute(map_census_8, hypermap_censu
     rng = random.Random(20)
     failed = 0
     for fs in _covered(map_census_8, hypermap_census_7):
-        dc = orientable_double_cover(fs)
+        cover = orientable_double_cover(fs)
         for _ in range(3):
             h = list(range(fs.flags))
             rng.shuffle(h)
@@ -240,7 +243,7 @@ def test_lift_fails_where_the_base_fails_to_commute(map_census_8, hypermap_censu
                 check_automorphism(fs, tuple(h))
             except NotAnAutomorphismError as base:
                 with pytest.raises(NotAnAutomorphismError) as info:
-                    lift_automorphisms(dc, tuple(h))
+                    lift_automorphisms(cover, tuple(h))
                 assert (info.value.generator, info.value.flag) == (base.generator, base.flag)
                 assert str(info.value) == str(base)
                 failed += 1
@@ -256,10 +259,9 @@ def test_constructions_valid_by_proof_pass_validate(kind, size, rng):
     assert validate(quotient_by(fs, automorphism_group(fs).elements)) == []
     closed = fs
     if any(fixed_flag_counts(fs)) or two_coloring(fs) is None:
-        dc = orientable_double_cover(fs)
-        closed = dc.cover
+        closed = orientable_double_cover(fs)
         assert validate(closed) == []
-        for elements in ([identity(closed.flags), dc.deck], automorphism_group(closed).elements):
+        for elements in ([identity(closed.flags), deck(closed)], automorphism_group(closed).elements):
             assert validate(quotient_by(closed, elements)) == []
     if kind == MAP:
         assert validate(medial(closed)) == []

@@ -14,6 +14,7 @@ from flagmaps.covers import (
     AlreadyOrientableClosedError,
     NotAnAutomorphismError,
     check_automorphism,
+    deck,
     orientable_double_cover,
     quotient_by,
 )
@@ -35,12 +36,11 @@ from flagmaps.core import (
     FlagSystem,
     InvalidFlagSystemError,
     canonical_form,
-    edge_cells,
     encode,
     relabel,
     surface_invariants,
 )
-from flagmaps.perms import block_index, compose, identity, orbit_of
+from flagmaps.perms import block_index, compose, identity, orbit_of, orbits
 from flagmaps.symmetry import (
     AutGroup,
     automorphism_group,
@@ -104,7 +104,7 @@ def _assert_matches_brute_force(fs):
     assert set(aut.images) == {h[0] for h in brute}
     assert len(aut.generators) <= math.log2(aut.order)
     assert aut.elements == brute
-    eblocks = edge_cells(fs)
+    eblocks = orbits([fs.g0, fs.g2], fs.flags)
     cell_of = block_index(eblocks, fs.flags)
     reached = {cell_of[h[eblocks[0][0]]] for h in brute}
     sym = symmetry_class(fs)
@@ -122,7 +122,7 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
         brute = _assert_matches_brute_force(fs)
         if surface_invariants(fs).orientable_no_boundary:
             continue
-        cover = orientable_double_cover(fs).cover
+        cover = orientable_double_cover(fs)
         cover_brute = _assert_matches_brute_force(cover)
         rep = stability_report(fs)
         assert (rep.base_aut_order, rep.cover_aut_order) == (len(brute), len(cover_brute))
@@ -155,9 +155,9 @@ def _assert_cover_count_matches_brute_force(fs):
     """The count on the base flags against every automorphism of the built
     cover; returns whether the search on the even words replaces its
     reference, the labelling from flag 0."""
-    dc = orientable_double_cover(fs)
-    check_automorphism(dc.cover, dc.deck)
-    assert stability_report(fs).cover_aut_order == len(_brute_force_automorphisms(dc.cover))
+    cover = orientable_double_cover(fs)
+    check_automorphism(cover, deck(cover))
+    assert stability_report(fs).cover_aut_order == len(_brute_force_automorphisms(cover))
     return _reads_below_0(fs)
 
 
