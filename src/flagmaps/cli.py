@@ -50,25 +50,21 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# ``flagmaps build`` family name -> builder of its system from the options;
+# the keys are also the argument's choices.
+_FAMILIES = {
+    "hosohedron": lambda args: hosohedron(args.n),
+    "semistar": lambda args: semi_star(args.n),
+    "torus44": lambda args: torus_44(args.lattice, args.m),
+    "nn2": lambda args: nn2_map(args.m).fs,
+    "icosahedron": lambda args: icosahedron(),
+    "k6p2": lambda args: k6_projective(),
+    "symmap": lambda args: symmetric_map(args.n, hypermap=args.hypermap).fs,
+}
+
+
 def _build(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "hosohedron":
-        fs = hosohedron(args.n)
-    elif family == "semistar":
-        fs = semi_star(args.n)
-    elif family == "torus44":
-        fs = torus_44(args.lattice, args.m)
-    elif family == "nn2":
-        fs = nn2_map(args.m).fs
-    elif family == "icosahedron":
-        fs = icosahedron()
-    elif family == "k6p2":
-        fs = k6_projective()
-    elif family == "symmap":
-        fs = symmetric_map(args.n, hypermap=args.hypermap).fs
-    else:  # pragma: no cover - argparse restricts choices
-        raise FlagmapsError(f"unknown family {family}")
-    _write_output(serialize(fs), args.out)
+    _write_output(serialize(_FAMILIES[args.family](args)), args.out)
     return 0
 
 
@@ -242,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a named family, emit map JSON")
-    p.add_argument("family", choices=[
-        "hosohedron", "semistar", "torus44", "nn2", "icosahedron", "k6p2", "symmap",
-    ])
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("-n", type=int, default=5, help="size parameter (default 5)")
     p.add_argument("-m", type=int, default=1, help="lattice/group parameter (default 1)")
     p.add_argument("--lattice", choices=["diag", "rect"], default="diag")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .core import MAP, HYPERMAP, FlagSystem, _search
+from .core import MAP, HYPERMAP, FlagSystem, InvalidFlagSystemError, Violation, _search, _valid
 from .covers import quotient_by
 from .errors import FlagmapsError
 from .perms import (
@@ -218,8 +218,11 @@ def glide_automorphism(fs: FlagSystem) -> Perm:
 
 
 def check_involution_triple(r0: Perm, r1: Perm, r2: Perm, kind: str) -> None:
-    """Reject identity and non-involution generators and, for maps, a
-    triple whose r0 and r2 do not commute ((r0*r2)^2 != 1)."""
+    """Reject an unknown kind (as ``validate`` reports it), identity and
+    non-involution generators and, for maps, a triple whose r0 and r2 do
+    not commute ((r0*r2)^2 != 1)."""
+    if kind not in (MAP, HYPERMAP):
+        raise InvalidFlagSystemError([Violation("bad-kind")])
     for i, r in enumerate((r0, r1, r2)):
         if not is_involution(r) or r == identity(len(r)):
             raise NotInvolutionError(f"r{i} must be a non-identity involution")
@@ -234,6 +237,16 @@ class GroupMap:
     flag permutation induced by left multiplication, giving the full
     automorphism group as ``a`` ranges over the elements.  The group may
     have at most ``CLOSURE_CAP`` elements (``generate_closure``).
+
+    ``fs`` is valid by construction (``core._valid``):
+    - ``check_involution_triple`` checks the kind before the group is
+      expanded, and the identity is a flag;
+    - right multiplication by r is a permutation of the group, and an
+      involution because r is one (``check_involution_triple``);
+    - ``generate_closure`` reaches every element from the identity by
+      right multiplications by generators, so the flags are connected;
+    - for a map, (r0*r2)^2 = 1 makes r0*r2 = r2*r0, so e*r0*r2 = e*r2*r0
+      for every element e, which is the map relation.
     """
 
     def __init__(self, r0: Perm, r1: Perm, r2: Perm, kind: str = MAP):
@@ -246,7 +259,7 @@ class GroupMap:
             tuple(self._index[compose(e, r)] for e in elements)
             for r in self.generators
         )
-        self.fs = FlagSystem(kind, len(elements), *tables).require_valid()
+        self.fs = _valid(FlagSystem(kind, len(elements), *tables))
 
     @property
     def order(self) -> int:

@@ -7,6 +7,14 @@ symbolically, which keeps the symmetric-group families tractable where
 n! flags are far beyond explicit expansion, or the explicit group as a
 ``families.GroupMap``, which is the only place a group is expanded.
 Everything here is exact integer arithmetic.
+
+No check here re-proves what the constructions guarantee: the standard
+triple generates S_n, dihedral subgroup orders divide |G|, and an
+orientable closed system has even chi; each proof is in the docstring
+of the function that relies on it.  Orientability is decided as at the
+flag level and refused with the same ``covers.NotOrientableClosedError``:
+on S_n from the parity of the generators, on an explicit group by
+``covers.orientation_action``.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import HYPERMAP, MAP, two_coloring
-from .errors import FlagmapsError
+from .core import HYPERMAP, MAP
+from .covers import ORIENTATION_REVERSING, NotOrientableClosedError, orientation_action
 from .families import (
     BadFamilyParameterError,
     GroupMap,
@@ -30,7 +38,6 @@ from .perms import (
     Perm,
     compose,
     cycle_type,
-    cycles,
     identity,
     inverse,
     is_involution,
@@ -38,15 +45,6 @@ from .perms import (
     perm_order,
     sym_centralizer_order,
 )
-
-
-class DegenerateSubgroupError(FlagmapsError):
-    pass
-
-
-class NotOrientableCoverError(FlagmapsError):
-    """The regular system is not orientable-closed, so quotient analysis
-    in the cover/quotient sense does not apply."""
 
 
 @dataclass(frozen=True)
@@ -76,31 +74,18 @@ class GroupModel:
         return self.group.order
 
 
-def _generates_full_symmetric(r0: Perm, r1: Perm, r2: Perm) -> bool:
-    """Transposition-plus-n-cycle test: r1*r2 an n-cycle, r0 a
-    transposition whose endpoints are coprime steps apart on it."""
-    n = len(r0)
-    c = compose(r1, r2)
-    if len(cycles(c)) != 1 or cycle_type(c) != ((n, 1),):
-        return False
-    moved = [p for p in range(n) if r0[p] != p]
-    if len(moved) != 2:
-        return False
-    u, v = moved
-    k, x = 0, u
-    while x != v:
-        x = c[x]
-        k += 1
-    return math.gcd(k, n) == 1
-
-
 def symmetric_model(n: int, hypermap: bool = False) -> GroupModel:
-    """Group model on all of S_n from the standard involution triple."""
+    """Group model on all of S_n from the standard involution triple.
+
+    The triple generates S_n, so the group is held symbolically: r1*r2
+    is the n-cycle i -> i+1 (``symmetric_generators``), and r0 swaps two
+    points adjacent on it, (1,2) for maps and (2,3) for hypermaps.
+    Conjugating r0 by powers of that cycle gives every transposition
+    (i, i+1), and the adjacent transpositions generate S_n.
+    """
     r0, r1, r2 = symmetric_generators(n, hypermap)
     kind = HYPERMAP if hypermap else MAP
     check_involution_triple(r0, r1, r2, kind)
-    if not _generates_full_symmetric(r0, r1, r2):
-        raise FlagmapsError(f"triple does not generate S_{n}")
     return GroupModel(r0, r1, r2, kind, None)
 
 
@@ -122,23 +107,21 @@ class RegularCells:
 def regular_cells(gm: GroupModel) -> RegularCells:
     """Cell counts of the regular system from subgroup orders.
 
-    V = |G| / (2 ord(r1 r2)), E = |G| / |<r0,r2>|, F = |G| / (2 ord(r0 r1));
-    chi = V + E + F - |G|/2 (the flag-triangulation count, equal to
-    V - E + F for maps, where edge stabilizers have order 4).
+    G acts regularly on the flags by right multiplication, so the cells
+    of the pair (i, j) are the cosets of <r_i, r_j>.  That dihedral group
+    has order 2 ord(r_i r_j), which divides |G| by Lagrange's theorem, so
+    V = |G| / (2 ord(r1 r2)), E = |G| / (2 ord(r0 r2)) and
+    F = |G| / (2 ord(r0 r1)) are exact.  chi = V + E + F - |G|/2 counts
+    the flag triangulation: |G| triangles, and 3|G|/2 sides, since a
+    non-identity generator fixes no flag.  For a map with de = 4, E = |G|/4 and the
+    count is V - E + F.
     """
     order = gm.order
     dv = 2 * perm_order(compose(gm.r1, gm.r2))
     de = 2 * perm_order(compose(gm.r0, gm.r2))
     df = 2 * perm_order(compose(gm.r0, gm.r1))
-    for d in (dv, de, df):
-        if order % d:
-            raise DegenerateSubgroupError(
-                f"dihedral subgroup order {d} does not divide |G| = {order}"
-            )
     v, e, f = order // dv, order // de, order // df
     chi = v + e + f - order // 2
-    if gm.kind == MAP and de == 4:
-        assert chi == v - e + f
     if gm.kind == MAP:
         type_signature = (perm_order(compose(gm.r0, gm.r1)),
                           perm_order(compose(gm.r1, gm.r2)))
@@ -173,10 +156,6 @@ class QuotientAnalysis:
     genus_note: str
 
 
-def _is_odd_generator_model(gm: GroupModel) -> bool:
-    return all(parity(r) == 1 for r in gm.generators)
-
-
 def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
     """Boundary, orientability, automorphism order and stability of the
     quotient of the regular system by a non-identity involution a in G.
@@ -185,6 +164,17 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
     is non-orientable iff a lies outside the even-word subgroup; its
     automorphism group is C_G(a)/<a>, so the quotient is stable iff a is
     central.
+
+    The regular system must be orientable and closed; otherwise this
+    raises ``covers.NotOrientableClosedError``.  No flag is fixed, since
+    the generators are non-identity elements acting by right
+    multiplication, so the test is orientability: a homomorphism G -> C2
+    that sends every generator to the non-identity, whose kernel is the
+    even-word subgroup.  On S_n the only non-trivial one is the sign, so
+    the system is orientable iff all three generators are odd, and a
+    reverses the orientation iff a is odd.  On an explicit group
+    ``covers.orientation_action`` decides both.  Then the cover's chi is
+    2 - 2g, even, and the quotient has half of it.
     """
     a = tuple(a)
     group = gm.group
@@ -197,35 +187,28 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
 
     ct = cycle_type(a)
     if group is None:
-        boundary = any(ct == cycle_type(r) for r in gm.generators)
-        if not _is_odd_generator_model(gm):
-            raise NotOrientableCoverError(
-                "orientability bookkeeping here assumes all-odd generators"
+        if any(parity(r) == 0 for r in gm.generators):
+            raise NotOrientableClosedError(
+                "an even generator: the system on S_n is not orientable"
             )
+        boundary = any(ct == cycle_type(r) for r in gm.generators)
         reversing = parity(a) == 1
         centralizer = sym_centralizer_order(ct)
         central = len(a) <= 2
     else:
+        reversing = (
+            orientation_action(group.fs, group.automorphism(a)) == ORIENTATION_REVERSING
+        )
         boundary = any(
             compose(inverse(g), r, g) == a
             for r in gm.generators
             for g in group.elements
         )
-        # flag 0 is the identity and automorphism(a)[0] the flag of a;
-        # the even words are the colour class of the identity.  No flag of
-        # a GroupMap is fixed (its generators are non-identity elements
-        # acting by right multiplication), so a colouring means closed.
-        color = two_coloring(group.fs)
-        if color is None:
-            raise NotOrientableCoverError("regular system is not orientable")
-        reversing = color[group.automorphism(a)[0]] != color[0]
         centralizer = sum(1 for g in group.elements if compose(a, g) == compose(g, a))
         central = centralizer == group.order
 
     cells_ = regular_cells(gm)
     quotient_chi = cells_.chi // 2
-    if cells_.chi % 2:
-        raise DegenerateSubgroupError("cover chi is odd; cannot halve")
     if not boundary and reversing:
         crosscap = 2 - quotient_chi
         genus_note = (

@@ -8,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 from flagmaps.cli import main
 from flagmaps.core import FlagSystem, surface_invariants
 from flagmaps.errors import FlagmapsError
-from flagmaps.families import SYMMETRIC_MAX_N, hosohedron, k6_projective, torus_44
+from flagmaps.families import (
+    SYMMETRIC_MAX_N,
+    hosohedron,
+    icosahedron,
+    k6_projective,
+    nn2_map,
+    semi_star,
+    symmetric_map,
+    torus_44,
+)
 from flagmaps.mapjson import MapFormatError, parse, serialize
 from flagmaps.core import InvalidFlagSystemError
 
@@ -119,6 +128,25 @@ def test_cli_build_and_analyze(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "V=2 E=3 F=3" in text
     assert "stability: undefined" in text
+
+
+# one `flagmaps build` case per family, with the library constructor it calls
+_BUILDS = [
+    (["hosohedron", "-n", "4"], lambda: hosohedron(4)),
+    (["semistar", "-n", "3"], lambda: semi_star(3)),
+    (["torus44", "--lattice", "rect", "-m", "1"], lambda: torus_44("rect", 1)),
+    (["nn2", "-m", "2"], lambda: nn2_map(2).fs),
+    (["icosahedron"], icosahedron),
+    (["k6p2"], k6_projective),
+    (["symmap", "-n", "5", "--hypermap"], lambda: symmetric_map(5, hypermap=True).fs),
+]
+
+
+@pytest.mark.parametrize("argv, build", _BUILDS, ids=[argv[0] for argv, _ in _BUILDS])
+def test_cli_build_parses_back_to_the_constructor(tmp_path, argv, build):
+    out = tmp_path / "family.json"
+    assert main(["build", *argv, "--out", str(out)]) == 0
+    assert parse(out.read_text()) == build()
 
 
 def test_cli_analyze_json_reports_stability(tmp_path, capsys):

@@ -25,12 +25,21 @@ from flagmaps.covers import (
     orientation_action,
     quotient_by,
 )
+from flagmaps import families
+from flagmaps.errors import FlagmapsError
 from flagmaps.families import (
+    GroupMap,
     _automorphism_from,
     glide_automorphism,
     hosohedron,
+    icosahedron,
+    nn2_map,
+    octahedron,
     reflection_automorphism,
     semi_star,
+    symmetric_generators,
+    symmetric_map,
+    tetrahedron,
     torus_44,
 )
 from flagmaps.operations import medial
@@ -265,3 +274,21 @@ def test_constructions_valid_by_proof_pass_validate(kind, size, rng):
             assert validate(quotient_by(closed, elements)) == []
     if kind == MAP:
         assert validate(medial(closed)) == []
+
+
+def test_group_maps_valid_by_proof_pass_validate(monkeypatch):
+    """GroupMap records its system valid by the proof in its docstring;
+    validate agrees, and an unknown kind is refused before the group is
+    expanded."""
+    systems = [symmetric_map(5).fs, symmetric_map(5, hypermap=True).fs]
+    systems += [nn2_map(m).fs for m in range(1, 5)]
+    systems += [tetrahedron(), octahedron(), icosahedron()]
+    for fs in systems:
+        assert validate(fs) == []
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the group was expanded")
+
+    monkeypatch.setattr(families, "generate_closure", no_expansion)
+    with pytest.raises(FlagmapsError):
+        GroupMap(*symmetric_generators(5), "surface")

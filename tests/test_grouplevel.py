@@ -9,14 +9,18 @@ import pytest
 import flagmaps
 from flagmaps import grouplevel
 from flagmaps.core import HYPERMAP, MAP, surface_invariants
-from flagmaps.covers import orientation_action, quotient_by
+from flagmaps.covers import NotOrientableClosedError, orientation_action, quotient_by
 from flagmaps.errors import FlagmapsError
 from flagmaps.families import (
+    _PLATONIC,
+    SYMMETRIC_MAX_N,
     BadFamilyParameterError,
     GroupMap,
+    _platonic,
     icosahedron,
     nn2_map,
     support_involution,
+    symmetric_generators,
     symmetric_map,
 )
 from flagmaps.grouplevel import (
@@ -28,7 +32,7 @@ from flagmaps.grouplevel import (
     regular_cells,
     symmetric_model,
 )
-from flagmaps.perms import compose, identity, is_involution, parse_cycles
+from flagmaps.perms import compose, identity, is_involution, parity, parse_cycles, perm_order
 from flagmaps.symmetry import automorphism_group, stability_report
 
 
@@ -36,6 +40,18 @@ def test_symmetric_model_generates():
     gm = symmetric_model(11)
     assert gm.order == math.factorial(11)
     assert compose(gm.r1, gm.r2) == tuple((i + 1) % 11 for i in range(11))
+
+
+def test_symmetric_generators_meet_the_generation_premise():
+    """symmetric_model holds S_n symbolically because r1*r2 is the n-cycle
+    i -> i+1 and r0 swaps two points adjacent on it: pin both facts for
+    every n that symmetric_generators accepts."""
+    for n in range(5, SYMMETRIC_MAX_N + 1, 2):
+        cycle = tuple(range(1, n)) + (0,)
+        for hypermap, moved in ((False, [0, 1]), (True, [1, 2])):
+            r0, r1, r2 = symmetric_generators(n, hypermap)
+            assert compose(r1, r2) == cycle
+            assert [p for p in range(n) if r0[p] != p] == moved
 
 
 def test_symmetric_model_cells_n11():
@@ -125,6 +141,37 @@ def test_explicit_model_agrees_with_the_flag_level_quotient():
             assert qa.stable == stability_report(q).stable
             cases += 1
     assert cases == 56
+
+
+def test_group_level_cells_equal_flag_level_cells():
+    """regular_cells on the explicit group against the cells walked on its
+    flags, and the Lagrange premise: each dihedral order divides |G|."""
+    group_maps = [nn2_map(m) for m in range(1, 7)] + [_platonic(name) for name in _PLATONIC]
+    group_maps += [symmetric_map(5), symmetric_map(5, hypermap=True), symmetric_map(7)]
+    for gm in group_maps:
+        model = explicit_model(*gm.generators, kind=gm.fs.kind)
+        rc = regular_cells(model)
+        inv = surface_invariants(gm.fs)
+        assert rc.group_order == gm.fs.flags
+        assert (rc.vertices, rc.edges, rc.faces, rc.chi) == (
+            inv.vertices, inv.edges, inv.faces, inv.chi,
+        )
+        for s, t in itertools.combinations(gm.generators, 2):
+            assert model.order % (2 * perm_order(compose(s, t))) == 0
+
+
+def test_not_orientable_closed_is_one_error_at_both_levels():
+    """An even generator makes the S_n system non-orientable; both group
+    levels refuse it with the flag level's error."""
+    for n in (5, 9):
+        gm = symmetric_model(n)
+        assert parity(gm.r1) == 0
+        with pytest.raises(NotOrientableClosedError):
+            quotient_analysis(gm, support_involution(2, n))
+    with pytest.raises(NotOrientableClosedError):
+        quotient_analysis(explicit_model(*symmetric_generators(5)), support_involution(2, 5))
+    with pytest.raises(NotOrientableClosedError):
+        orientation_action(symmetric_map(5).fs, identity(120))
 
 
 def test_bad_triples_raise_the_same_error_at_both_levels(monkeypatch):
