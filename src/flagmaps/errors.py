@@ -11,4 +11,4 @@ class FlagmapsError(Exception):
 
 class BadBoundError(FlagmapsError, ValueError):
     """A size or work bound outside its domain, such as a census bound
-    below one flag or a non-positive closure cap."""
+    below one flag."""

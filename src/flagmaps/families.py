@@ -14,8 +14,8 @@ Encodings:
   from that image builds it.
 * GroupMap: flags are the elements of a permutation group, generators
   act by right multiplication, automorphisms by left multiplication.
-  It is the one place where the group of an involution triple is
-  expanded; ``grouplevel.explicit_model`` analyses a GroupMap, and
+  It is the one place where a group is expanded;
+  ``grouplevel.explicit_model`` analyses a GroupMap, and
   ``check_involution_triple`` is the precondition both levels share.
   The tetrahedron, octahedron and icosahedron are GroupMaps of their
   automorphism groups, each given by its involution triple acting on the
@@ -31,8 +31,8 @@ from .core import MAP, HYPERMAP, FlagSystem, InvalidFlagSystemError, Violation, 
 from .covers import quotient_by
 from .errors import FlagmapsError
 from .perms import (
-    CLOSURE_CAP,
     Perm,
+    check_perms,
     compose,
     generate_closure,
     identity,
@@ -218,11 +218,13 @@ def glide_automorphism(fs: FlagSystem) -> Perm:
 
 
 def check_involution_triple(r0: Perm, r1: Perm, r2: Perm, kind: str) -> None:
-    """Reject an unknown kind (as ``validate`` reports it), identity and
+    """Reject an unknown kind (as ``validate`` reports it), a generator
+    that is no permutation (``NotAPermutationError``), identity and
     non-involution generators and, for maps, a triple whose r0 and r2 do
     not commute ((r0*r2)^2 != 1)."""
     if kind not in (MAP, HYPERMAP):
         raise InvalidFlagSystemError([Violation("bad-kind")])
+    check_perms((r0, r1, r2))
     for i, r in enumerate((r0, r1, r2)):
         if not is_involution(r) or r == identity(len(r)):
             raise NotInvolutionError(f"r{i} must be a non-identity involution")
@@ -235,12 +237,14 @@ class GroupMap:
 
     Generators act by right multiplication; ``automorphism(a)`` is the
     flag permutation induced by left multiplication, giving the full
-    automorphism group as ``a`` ranges over the elements.  The group may
-    have at most ``CLOSURE_CAP`` elements (``generate_closure``).
+    automorphism group as ``a`` ranges over the elements.  It is the one
+    expansion of a group in the package, and the group may have at most
+    ``perms.CLOSURE_CAP`` elements (``generate_closure``).
 
     ``fs`` is valid by construction (``core._valid``):
-    - ``check_involution_triple`` checks the kind before the group is
-      expanded, and the identity is a flag;
+    - ``check_involution_triple`` checks the kind and that the
+      generators are permutations before the group is expanded, and the
+      identity is a flag;
     - right multiplication by r is a permutation of the group, and an
       involution because r is one (``check_involution_triple``);
     - ``generate_closure`` reaches every element from the identity by
@@ -252,7 +256,7 @@ class GroupMap:
     def __init__(self, r0: Perm, r1: Perm, r2: Perm, kind: str = MAP):
         check_involution_triple(r0, r1, r2, kind)
         self.generators = (r0, r1, r2)
-        elements = sorted(generate_closure([r0, r1, r2], CLOSURE_CAP))
+        elements = sorted(generate_closure([r0, r1, r2]))
         self.elements: tuple[Perm, ...] = tuple(elements)
         self._index = {e: i for i, e in enumerate(elements)}
         tables = tuple(
@@ -273,12 +277,6 @@ class GroupMap:
         if a not in self:
             raise NotInGroupError("element is not in the generated group")
         return tuple(self._index[compose(a, e)] for e in self.elements)
-
-    def element_product(self, *factors: Perm) -> Perm:
-        out = compose(*factors)
-        if out not in self:
-            raise NotInGroupError("product left the group (degree mismatch?)")
-        return out
 
 
 def nn2_map(m: int) -> GroupMap:
@@ -314,8 +312,7 @@ def nn2_map(m: int) -> GroupMap:
 def nn2_quotient_automorphism(gm: GroupMap) -> Perm:
     """Left multiplication by r0*r1*r2, the orientation-reversing
     involution whose quotient of {n,n}_2 is non-orientable and closed."""
-    a = gm.element_product(*gm.generators)
-    return gm.automorphism(a)
+    return gm.automorphism(compose(*gm.generators))
 
 
 # ---------------------------------------------------------------------------

@@ -237,16 +237,13 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
 def family_report(n: int, hypermap: bool = False) -> list[QuotientAnalysis]:
     """All unstable quotients of the symmetric-group system for
     n = 3 mod 4, n >= 11: one per involution (1,2)(3,4)...(m-1,m) with
-    m = 2 mod 4 and 6 <= m <= n-5.  The count is (n-7)/4 and the
-    quotients are pairwise non-isomorphic (distinct cycle types of a)."""
+    m = 2 mod 4 and 6 <= m <= n-5.
+
+    The count is (n-7)/4: n = 3 mod 4 makes n-5 = 2 mod 4, so m runs
+    over 6, 10, ..., n-5, which is ((n-5) - 6)/4 + 1 values.  The
+    quotients are pairwise non-isomorphic: a has cycle type
+    2^(m/2) 1^(n-m), which differs for each m."""
     if n < 11 or n % 4 != 3:
         raise BadFamilyParameterError("family_report needs n = 3 mod 4, n >= 11")
     gm = symmetric_model(n, hypermap)
-    reports = []
-    for m in range(6, n - 4, 4):
-        a = support_involution(m, n)
-        reports.append(quotient_analysis(gm, a))
-    assert len(reports) == (n - 7) // 4
-    types = [r.a_cycle_type for r in reports]
-    assert len(set(types)) == len(types)
-    return reports
+    return [quotient_analysis(gm, support_involution(m, n)) for m in range(6, n - 4, 4)]

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .errors import BadBoundError, FlagmapsError
+from .errors import FlagmapsError
 
 Perm = tuple[int, ...]
 
@@ -192,21 +192,17 @@ def block_index(blocks: Sequence[Sequence[int]], degree: int) -> list[int]:
     return idx
 
 
-def generate_closure(
-    generators: Sequence[Perm],
-    cap: int = CLOSURE_CAP,
-    degree: int | None = None,
-) -> set[Perm]:
+def generate_closure(generators: Sequence[Perm]) -> set[Perm]:
     """All elements of the group generated, via breadth-first multiplication.
 
-    Raises ClosureOverflowError once more than ``cap`` elements appear;
-    callers for which that is expected fall back to group-level reasoning.
+    The degree is that of the generators, so at least one is needed.
+    Raises ClosureOverflowError once more than ``CLOSURE_CAP`` elements
+    appear (the cap is read at each call); callers for which that is
+    expected fall back to group-level reasoning.
     """
-    if cap <= 0:
-        raise BadBoundError("cap must be positive")
-    degree = check_degrees(generators, degree)
+    cap = CLOSURE_CAP
+    ident = identity(check_degrees(generators))
     check_perms(generators)
-    ident = identity(degree)
     elements: set[Perm] = {ident}
     frontier = [ident]
     while frontier:

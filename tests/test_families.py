@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from flagmaps import families
+from flagmaps import perms
 from flagmaps.core import canonical_form, is_isomorphic, surface_invariants, validate
 from flagmaps.covers import orientation_action, quotient_by
 from flagmaps.families import (
@@ -163,7 +163,7 @@ def test_group_map_errors(monkeypatch):
         GroupMap(identity(5), r0, r0)
     r1 = parse_cycles("(2,5)(3,4)", 5)
     r2 = parse_cycles("(1,2)(3,5)", 5)
-    monkeypatch.setattr(families, "CLOSURE_CAP", 10)
+    monkeypatch.setattr(perms, "CLOSURE_CAP", 10)
     with pytest.raises(ClosureOverflowError):
         GroupMap(r0, r1, r2)
 
@@ -177,7 +177,7 @@ def test_nn2_map_structure():
         assert symmetry_class(gm.fs).regular
         r0, r1, r2 = gm.generators
         assert compose(r0, r2) == compose(r2, r0)
-        a = gm.element_product(r0, r1, r2)
+        a = compose(r0, r1, r2)
         assert is_involution(a)
         inv = surface_invariants(gm.fs)
         assert (inv.vertices, inv.edges, inv.faces) == (2, n, 2)

@@ -32,7 +32,15 @@ from flagmaps.grouplevel import (
     regular_cells,
     symmetric_model,
 )
-from flagmaps.perms import compose, identity, is_involution, parity, parse_cycles, perm_order
+from flagmaps.perms import (
+    NotAPermutationError,
+    compose,
+    identity,
+    is_involution,
+    parity,
+    parse_cycles,
+    perm_order,
+)
 from flagmaps.symmetry import automorphism_group, stability_report
 
 
@@ -95,13 +103,22 @@ def test_quotient_analysis_input_checks():
         quotient_analysis(gm, parse_cycles("(1,2)", 8))
 
 
+@pytest.mark.parametrize("build", [GroupMap, explicit_model], ids=["GroupMap", "explicit_model"])
+def test_a_non_permutation_generator_is_refused(build):
+    """A generator that is no permutation of its own indices is refused
+    before the involution test reads past its end."""
+    triple = ((5, 0, 1, 2, 3), (1, 0, 2, 3, 4), (0, 1, 3, 2, 4))
+    with pytest.raises(NotAPermutationError):
+        build(*triple, HYPERMAP)
+
+
 def test_explicit_model_nn2():
     gm4 = nn2_map(2)  # n = 4, group of order 16
     model = explicit_model(*gm4.generators, kind=MAP)
     rc = regular_cells(model)
     assert (rc.group_order, rc.vertices, rc.edges, rc.faces) == (16, 2, 4, 2)
     assert rc.chi == 0
-    a = gm4.element_product(*gm4.generators)
+    a = compose(*gm4.generators)
     qa = quotient_analysis(model, a)
     assert qa.aut_order == 4
     assert not qa.stable
@@ -111,7 +128,7 @@ def test_explicit_model_nn2():
 def test_explicit_model_central_involution_is_stable():
     gm = nn2_map(2)
     r0, r1, r2 = gm.generators
-    x = gm.element_product(r1, r2)
+    x = compose(r1, r2)
     xm = compose(x, x)  # x^2 = x^m for m=2: the central involution
     model = explicit_model(r0, r1, r2, kind=MAP)
     qa = quotient_analysis(model, xm)

@@ -29,7 +29,7 @@ from flagmaps.families import (
     symmetric_map,
     torus_44,
 )
-from flagmaps import core, symmetry
+from flagmaps import core, families, perms, symmetry, verify
 from flagmaps.core import (
     HYPERMAP,
     MAP,
@@ -40,7 +40,7 @@ from flagmaps.core import (
     relabel,
     surface_invariants,
 )
-from flagmaps.perms import block_index, compose, identity, orbit_of, orbits
+from flagmaps.perms import block_index, compose, generate_closure, identity, orbit_of, orbits
 from flagmaps.symmetry import (
     AutGroup,
     automorphism_group,
@@ -57,6 +57,32 @@ def test_aut_orders_on_families():
     assert automorphism_group(torus_44("diag", 1)).order == 64
 
 
+@pytest.mark.parametrize("lattice", ["diag", "rect"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_glide_centralizer_from_the_one_search(lattice, m):
+    """The centralizer of the glide in Aut(torus), counted as criterion 03
+    counts it, by the one search on the three generators and the glide, is
+    16m, twice |Aut| of the glide quotient; at m <= 2 it is also the count
+    over the expanded group."""
+    k = torus_44(lattice, m)
+    glide = glide_automorphism(k)
+    count = len(orbit_of(core._search(k.gens + (glide,))[1], [0]))
+    assert count == 16 * m == 2 * automorphism_group(quotient_by(k, [glide])).order
+    if m <= 2:
+        elements = generate_closure([identity(k.flags), *automorphism_group(k).generators])
+        assert count == sum(compose(h, glide) == compose(glide, h) for h in elements)
+
+
+def test_glide_series_expands_no_group(monkeypatch):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("a group was expanded")
+
+    monkeypatch.setattr(perms, "generate_closure", no_expansion)
+    monkeypatch.setattr(families, "generate_closure", no_expansion)
+    result = verify.check_torus_glide_series()
+    assert result.ok, result.details
+
+
 def test_klein_quotient_aut_order():
     k = torus_44("diag", 1)
     m = quotient_by(k, [identity(k.flags), glide_automorphism(k)])
@@ -67,9 +93,10 @@ def test_elements_commute_and_act_semiregularly():
     for fs in (hosohedron(4), semi_star(3)):
         aut = automorphism_group(fs)
         ident = identity(fs.flags)
-        assert ident in aut.elements
+        elements = generate_closure([ident, *aut.generators])
+        assert ident in elements
         assert fs.flags % aut.order == 0
-        for h in aut.elements:
+        for h in elements:
             for g in fs.gens:
                 assert compose(h, g) == compose(g, h)
             if h != ident:
@@ -103,7 +130,7 @@ def _assert_matches_brute_force(fs):
     assert aut.order == len(brute)
     assert set(aut.images) == {h[0] for h in brute}
     assert len(aut.generators) <= math.log2(aut.order)
-    assert aut.elements == brute
+    assert generate_closure([identity(fs.flags), *aut.generators]) == brute
     eblocks = orbits([fs.g0, fs.g2], fs.flags)
     cell_of = block_index(eblocks, fs.flags)
     reached = {cell_of[h[eblocks[0][0]]] for h in brute}
