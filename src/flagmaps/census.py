@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .core import HYPERMAP, MAP, FlagSystem, SurfaceInvariants, _labelling, _valid
 from .core import encode, surface_invariants
@@ -27,7 +27,9 @@ from .symmetry import automorphism_group, stability_report, symmetry_class
 def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
     """The self-canonical BFS-labelled transitive involution triples on
     exactly n flags, one per isomorphism class, in increasing ``encode``
-    order.  Slots are filled in the encoding's (flag, generator) order,
+    order, each yielded as its table completes; the system copies the
+    tables, so the search going on after the yield leaves it as it is.
+    Slots are filled in the encoding's (flag, generator) order,
     and at slot (f, i) every flag below f is already paired, so the
     candidates (f itself, the open flags above it, the fresh flag) come
     in increasing order.  Labels come from defined slots only, so a cut
@@ -56,7 +58,6 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
     g0, g2 = g[0], g[2]
     rows = tuple(zip(g, g))
     used = 1
-    out: list[FlagSystem] = []
 
     def relation_holds(x: int) -> bool:
         # g0[g2[x]] == g2[g0[x]] whenever every lookup is defined
@@ -72,7 +73,7 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
         b = g2[z]
         return b < 0 or a == b
 
-    def dfs(k: int, live: list[int]) -> None:
+    def dfs(k: int, live: list[int]) -> Iterator[FlagSystem]:
         nonlocal used
         while k < 3 * n:
             f, i = divmod(k, 3)
@@ -84,7 +85,7 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
         else:
             fs = _valid(FlagSystem(kind, n, tuple(g[0]), tuple(g[1]), tuple(g[2])))
             object.__setattr__(fs, "_ties", tuple(live))
-            out.append(fs)
+            yield fs
             return
         f, i = divmod(k, 3)
         table = g[i]
@@ -110,14 +111,13 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
             if ok:
                 kept = _live_starts(rows, live + [psi] if fresh else live)
                 if kept is not None:
-                    dfs(k + 1, kept)
+                    yield from dfs(k + 1, kept)
             if fresh:
                 used -= 1
             table[psi] = -1
             table[f] = -1
 
-    dfs(0, [])
-    yield from out
+    yield from dfs(0, [])
 
 
 def _live_starts(rows, starts) -> list[int] | None:
@@ -135,13 +135,14 @@ def _live_starts(rows, starts) -> list[int] | None:
 
 def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSystem]:
     """Every valid system with at most max_flags flags, one per
-    isomorphism class, ordered by flag count then canonical code."""
+    isomorphism class, ordered by flag count then canonical code.  The
+    bound and the kind are checked at the call; the systems come lazily,
+    each as its table completes."""
     if max_flags < 1:
         raise BadBoundError("max_flags must be >= 1")
     if kind not in (MAP, HYPERMAP):
         raise FlagmapsError("kind must be 'map' or 'hypermap'")
-    for n in range(1, max_flags + 1):
-        yield from _enumerate_tables(n, kind)
+    return (fs for n in range(1, max_flags + 1) for fs in _enumerate_tables(n, kind))
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,12 @@ def analyze(fs: FlagSystem) -> CensusRecord:
     )
 
 
-def stability_census(max_flags: int, kind: str = MAP) -> list[CensusRecord]:
-    """One record per isomorphism class, with stability where defined."""
-    return [analyze(fs) for fs in enumerate_flag_systems(max_flags, kind)]
+def stability_census(max_flags: int, kind: str = MAP) -> Iterator[CensusRecord]:
+    """One record per isomorphism class, with stability where defined,
+    as a lazy iterator: each record is made when it is read, so a census
+    read in one pass holds one class at a time.  Arguments are checked
+    at the call, as in ``enumerate_flag_systems``."""
+    return map(analyze, enumerate_flag_systems(max_flags, kind))
 
 
 CSV_HEADER = [
@@ -204,42 +208,64 @@ CSV_HEADER = [
 ]
 
 
-def census_csv(records: list[CensusRecord]) -> str:
-    """One CSV row per census record.  The ``canonical`` column is the
+def _row(r: CensusRecord) -> list:
+    """The CSV row of one record.  The ``canonical`` column is the
     record's table, which is its canonical form only for a system the
     census emitted (it records ``_ties``); any other record is an error."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    if not hasattr(r.fs, "_ties"):
+        raise FlagmapsError("a census row takes a record of a system the census emitted")
+    inv = r.invariants
+    return [
+        r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
+        int(inv.orientable), inv.boundary_components,
+        inv.genus.surface, inv.genus.value,
+        r.aut_order, int(r.regular), int(r.edge_transitive),
+        int(r.edge_regular),
+        "" if r.stable is None else int(r.stable),
+        "" if r.instability_index is None else r.instability_index,
+        encode(r.fs).hex(),
+    ]
+
+
+def _tally(summary: dict[int, dict[str, int]], r: CensusRecord) -> None:
+    """Count one record into the ``census_summary`` row of its flag count."""
+    row = summary.setdefault(
+        r.fs.flags, {"classes": 0, "stable": 0, "unstable": 0, "undefined": 0}
+    )
+    row["classes"] += 1
+    if r.stable is None:
+        row["undefined"] += 1
+    elif r.stable:
+        row["stable"] += 1
+    else:
+        row["unstable"] += 1
+
+
+def write_census(records: Iterable[CensusRecord], out: TextIO) -> dict[int, dict[str, int]]:
+    """Write the census CSV of any iterable of records to ``out``, each
+    row as its record arrives, and return their ``census_summary``,
+    tallied in the same pass."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    summary: dict[int, dict[str, int]] = {}
     for r in records:
-        if not hasattr(r.fs, "_ties"):
-            raise FlagmapsError("census_csv takes records of systems the census emitted")
-        inv = r.invariants
-        writer.writerow([
-            r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
-            int(inv.orientable), inv.boundary_components,
-            inv.genus.surface, inv.genus.value,
-            r.aut_order, int(r.regular), int(r.edge_transitive),
-            int(r.edge_regular),
-            "" if r.stable is None else int(r.stable),
-            "" if r.instability_index is None else r.instability_index,
-            encode(r.fs).hex(),
-        ])
+        writer.writerow(_row(r))
+        _tally(summary, r)
+    return summary
+
+
+def census_csv(records: Iterable[CensusRecord]) -> str:
+    """The census CSV of any iterable of records, as one string
+    (``write_census``)."""
+    buf = io.StringIO()
+    write_census(records, buf)
     return buf.getvalue()
 
 
-def census_summary(records: list[CensusRecord]) -> dict[int, dict[str, int]]:
-    """Per flag count: class totals and stable/unstable/undefined splits."""
+def census_summary(records: Iterable[CensusRecord]) -> dict[int, dict[str, int]]:
+    """Per flag count, from any iterable of records: class totals and
+    stable/unstable/undefined splits."""
     summary: dict[int, dict[str, int]] = {}
     for r in records:
-        row = summary.setdefault(
-            r.fs.flags, {"classes": 0, "stable": 0, "unstable": 0, "undefined": 0}
-        )
-        row["classes"] += 1
-        if r.stable is None:
-            row["undefined"] += 1
-        elif r.stable:
-            row["stable"] += 1
-        else:
-            row["unstable"] += 1
+        _tally(summary, r)
     return summary

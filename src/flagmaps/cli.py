@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .census import analyze, census_csv, census_summary, stability_census
+from .census import analyze, stability_census, write_census
 from .core import HYPERMAP, MAP, FlagSystem, export_diagram
 from .covers import deck, orientable_double_cover, quotient_by
 from .errors import FlagmapsError
@@ -167,8 +167,12 @@ def _op(args: argparse.Namespace) -> int:
 
 def _census(args: argparse.Namespace) -> int:
     records = stability_census(args.max_flags, args.kind)
-    _write_output(census_csv(records), args.out)
-    for flags, row in sorted(census_summary(records).items()):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            summary = write_census(records, fh)
+    else:
+        summary = write_census(records, sys.stdout)
+    for flags, row in sorted(summary.items()):
         print(
             f"flags={flags}: {row['classes']} classes, "
             f"{row['stable']} stable, {row['unstable']} unstable, "

@@ -307,23 +307,33 @@ def _circuits(walks) -> int:
     A fixed incidence (flag, generator) is a boundary side of the flag
     triangulation, and it ends one path in each of the two pairs that
     contain its generator.  Linking the two ends of every path therefore
-    gives each incidence two links, so the links form disjoint circuits;
-    count them.
+    gives each incidence two links: the link graph is 2-regular, so its
+    components are the circuits.  Counting link ends both ways, twice the
+    incidences is twice the links, so there are as many incidences as
+    paths.  Union-find over the incidences, numbered 3 * flag +
+    generator, joins two components at each successful union, so
+    circuits = paths - successful unions.
     """
-    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while (p := parent.get(x, x)) != x:
+            up = parent.get(p, p)  # path halving
+            parent[x] = up
+            x = up
+        return x
+
+    paths = unions = 0
     for _, ends in walks:
         for fixed in ends:
             if fixed:
-                a, b = fixed
-                links.setdefault(a, []).append(b)
-                links.setdefault(b, []).append(a)
-    circuits = 0
-    while links:
-        circuits += 1
-        stack = [next(iter(links))]
-        while stack:
-            stack.extend(x for x in links.pop(stack.pop(), ()) if x in links)
-    return circuits
+                (f, i), (h, j) = fixed
+                a, b = find(3 * f + i), find(3 * h + j)
+                paths += 1
+                if a != b:
+                    parent[a] = b
+                    unions += 1
+    return paths - unions
 
 
 def boundary_components(fs: FlagSystem) -> int:
@@ -356,9 +366,10 @@ def encode(fs: FlagSystem) -> bytes:
     flags < 256, else four.
     """
     head = (b"M" if fs.kind == MAP else b"H") + fs.flags.to_bytes(4, "big")
-    width = 1 if fs.flags < 256 else 4
+    if fs.flags < 256:
+        return head + bytes([x for t in zip(*fs.gens) for x in t])
     body = b"".join(
-        g[f].to_bytes(width, "big") for f in range(fs.flags) for g in fs.gens
+        g[f].to_bytes(4, "big") for f in range(fs.flags) for g in fs.gens
     )
     return head + body
 

@@ -36,6 +36,7 @@ from .families import (
 from .perms import (
     CycleType,
     Perm,
+    check_perms,
     compose,
     cycle_type,
     identity,
@@ -180,7 +181,9 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
     group = gm.group
     if len(a) != len(gm.r0):
         raise NotInGroupError("degree mismatch")
-    if group is not None and a not in group:
+    if group is None:
+        check_perms([a])  # S_n keeps no element set to test a against
+    elif a not in group:
         raise NotInGroupError("a is not an element of the group")
     if not is_involution(a) or a == identity(len(a)):
         raise NotInvolutionError("a must be a non-identity involution")

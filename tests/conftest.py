@@ -17,19 +17,19 @@ def k6(icosa):
 
 @pytest.fixture(scope="session")
 def map_census_8():
-    return stability_census(8, MAP)
+    return list(stability_census(8, MAP))
 
 
 @pytest.fixture(scope="session")
 def hypermap_census_7():
-    return stability_census(7, HYPERMAP)
+    return list(stability_census(7, HYPERMAP))
 
 
 @pytest.fixture(scope="session")
 def map_census_12():
-    return stability_census(12, MAP)
+    return list(stability_census(12, MAP))
 
 
 @pytest.fixture(scope="session")
 def hypermap_census_10():
-    return stability_census(10, HYPERMAP)
+    return list(stability_census(10, HYPERMAP))

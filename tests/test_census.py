@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,7 @@ from flagmaps.core import (
     validate,
 )
 from flagmaps.covers import orientable_double_cover
-from flagmaps.errors import FlagmapsError
+from flagmaps.errors import BadBoundError, FlagmapsError
 from flagmaps.families import torus_44
 from flagmaps.perms import orbits
 from flagmaps.symmetry import automorphism_group
@@ -174,6 +175,29 @@ def test_enumerate_rejects_bad_bound():
         list(enumerate_flag_systems(0, HYPERMAP))
     with pytest.raises(FlagmapsError):
         stability_census(-1, MAP)
+
+
+def test_arguments_are_checked_at_the_call():
+    """The census is lazy, but a bad bound or kind raises before any
+    system is read."""
+    for call in (enumerate_flag_systems, stability_census):
+        with pytest.raises(BadBoundError):
+            call(0, MAP)
+        with pytest.raises(FlagmapsError, match="kind must be"):
+            call(3, "maps")
+
+
+def test_streamed_census_memory_is_flat_in_the_class_count():
+    """Read in one pass, the census holds one class at a time: the traced
+    peak of writing the hypermap CSV up to 7 flags stays within a few
+    times the text it returns (holding every record took about 17x)."""
+    tracemalloc.start()
+    try:
+        text = census_csv(stability_census(7, HYPERMAP))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)
 
 
 def test_enumerate_rejects_an_unknown_kind():

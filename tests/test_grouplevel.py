@@ -103,6 +103,14 @@ def test_quotient_analysis_input_checks():
         quotient_analysis(gm, parse_cycles("(1,2)", 8))
 
 
+def test_quotient_analysis_refuses_a_non_permutation_on_s_n():
+    """On S_n any tuple of the degree passes the group test, so a
+    non-permutation is refused before the involution test reads past
+    its end."""
+    with pytest.raises(NotAPermutationError):
+        quotient_analysis(symmetric_model(11), (11, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
+
+
 @pytest.mark.parametrize("build", [GroupMap, explicit_model], ids=["GroupMap", "explicit_model"])
 def test_a_non_permutation_generator_is_refused(build):
     """A generator that is no permutation of its own indices is refused
