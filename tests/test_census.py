@@ -188,9 +188,10 @@ def test_arguments_are_checked_at_the_call():
 
 
 def test_streamed_census_memory_is_flat_in_the_class_count():
-    """Read in one pass, the census holds one class at a time: the traced
-    peak of writing the hypermap CSV up to 7 flags stays within a few
-    times the text it returns (holding every record took about 17x)."""
+    """Read in one pass, the census holds a fixed number of classes at a
+    time: the traced peak of writing the hypermap CSV up to 7 flags stays
+    within a few times the text it returns (holding every record took
+    about 17x)."""
     tracemalloc.start()
     try:
         text = census_csv(stability_census(7, HYPERMAP))
