@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Iterator, TextIO
 
 from .census import analyze, stability_census, write_census
 from .core import HYPERMAP, MAP, FlagSystem, export_diagram
@@ -42,12 +44,19 @@ def _read_system(path: str) -> FlagSystem:
     return parse(text)
 
 
-def _write_output(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """The ``--out`` file, opened for writing, or stdout without it."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_output(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # ``flagmaps build`` family name -> builder of its system from the options;
@@ -167,11 +176,8 @@ def _op(args: argparse.Namespace) -> int:
 
 def _census(args: argparse.Namespace) -> int:
     records = stability_census(args.max_flags, args.kind)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            summary = write_census(records, fh)
-    else:
-        summary = write_census(records, sys.stdout)
+    with _output(args.out) as fh:
+        summary = write_census(records, fh)
     for flags, row in sorted(summary.items()):
         print(
             f"flags={flags}: {row['classes']} classes, "
