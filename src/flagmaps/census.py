@@ -222,25 +222,6 @@ CSV_HEADER = [
 ]
 
 
-def _row(r: CensusRecord) -> list:
-    """The CSV row of one record.  The ``canonical`` column is the
-    record's table, which is its canonical form only for a system the
-    census emitted (it records ``_ties``); any other record is an error."""
-    if not hasattr(r.fs, "_ties"):
-        raise FlagmapsError("a census row takes a record of a system the census emitted")
-    inv = r.invariants
-    return [
-        r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
-        int(inv.orientable), inv.boundary_components,
-        inv.genus.surface, inv.genus.value,
-        r.aut_order, int(r.regular), int(r.edge_transitive),
-        int(r.edge_regular),
-        "" if r.stable is None else int(r.stable),
-        "" if r.instability_index is None else r.instability_index,
-        encode(r.fs).hex(),
-    ]
-
-
 def _tally(summary: dict[int, dict[str, int]], r: CensusRecord) -> None:
     """Count one record into the ``census_summary`` row of its flag count."""
     row = summary.setdefault(
@@ -258,12 +239,26 @@ def _tally(summary: dict[int, dict[str, int]], r: CensusRecord) -> None:
 def write_census(records: Iterable[CensusRecord], out: TextIO) -> dict[int, dict[str, int]]:
     """Write the census CSV of any iterable of records to ``out``, each
     row as its record arrives, and return their ``census_summary``,
-    tallied in the same pass."""
+    tallied in the same pass.  The ``canonical`` column is the record's
+    table, which is its canonical form only for a system the census
+    emitted (it records ``_ties``); any other record is an error."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     summary: dict[int, dict[str, int]] = {}
     for r in records:
-        writer.writerow(_row(r))
+        if not hasattr(r.fs, "_ties"):
+            raise FlagmapsError("census_csv takes records of systems the census emitted")
+        inv = r.invariants
+        writer.writerow([
+            r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
+            int(inv.orientable), inv.boundary_components,
+            inv.genus.surface, inv.genus.value,
+            r.aut_order, int(r.regular), int(r.edge_transitive),
+            int(r.edge_regular),
+            "" if r.stable is None else int(r.stable),
+            "" if r.instability_index is None else r.instability_index,
+            encode(r.fs).hex(),
+        ])
         _tally(summary, r)
     return summary
 
