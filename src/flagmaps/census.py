@@ -91,7 +91,7 @@ def _enumerate_tables(n: int, kind: str) -> Iterator[FlagSystem]:
         f, i = divmod(k, 3)
         table = g[i]
         candidates = [f]
-        candidates.extend(e for e in range(used) if e != f and table[e] < 0)
+        candidates.extend(e for e in range(f + 1, used) if table[e] < 0)
         if used < n:
             candidates.append(used)
         for psi in candidates:

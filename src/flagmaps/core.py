@@ -7,13 +7,16 @@ boundary of the underlying surface.  Maps additionally satisfy
 (g0*g2)^2 = 1; hypermaps drop that relation.
 
 Each dihedral orbit is a cycle or a path of alternating steps, so one
-walk per pair (``_pair_walk``) gives the cells, their corners and the
-fixed ends from which the boundary circuits are linked.
+walk per pair (``_pair_walk``) counts the cells and the corners of each,
+and lists the two fixed ends of each path.  ``surface_invariants`` takes
+chi = V + E + F - (flags + fixed flags) / 2 from the counts, and the
+boundary circuits from a union-find that links the ends of each path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import FlagmapsError
@@ -128,51 +131,69 @@ def validate(fs: FlagSystem) -> list[Violation]:
 # Cells and surface invariants
 
 
-_PAIRS = ((1, 2), (0, 2), (0, 1))  # the dihedral pairs of vertices, edges and faces
-
-
-def _pair_walk(fs: FlagSystem, i: int, j: int) -> tuple[list, list]:
-    """Orbits of the dihedral pair <g_i, g_j>, listed by least flag, with
-    the fixed ends (flag, generator) of each.
+def _pair_walk(a: Perm, b: Perm, ia: int, ib: int, ends: list[int]) -> list[int]:
+    """Corner counts of the orbits of the dihedral pair <a, b> = <g_ia,
+    g_ib>, listed by least flag.  The two fixed ends of each path are
+    appended to ``ends`` as incidences 3 * flag + generator.
 
     Two involutions link a flag to at most two others, so an orbit is a
     cycle, or a path whose two ends are fixed incidences.  From the least
-    flag of an orbit the walk steps g_i, g_j, g_i, ... until it closes
-    the cycle or reaches a fixed flag; on a path it then walks g_j, g_i,
-    ... from the start to the other end.
+    flag of an orbit the walk steps a, b, a, ... until it closes the
+    cycle or reaches a fixed flag; on a path it then walks b, a, ... from
+    the start to the other end.  The corners of an orbit are its
+    g1-orbits, (size + g1-fixed ends) // 2: each g1-orbit holds two of
+    its flags, or one that g1 fixes, and those are its g1-fixed ends.
     """
-    pair = (fs.gen(i), fs.gen(j))
-    seen = [False] * fs.flags
-    blocks, ends = [], []
-    for start in range(fs.flags):
-        if seen[start]:
+    seen = [False] * len(a)
+    corners = []
+    for start, done in enumerate(seen):
+        if done:
             continue
         seen[start] = True
-        block = [start]
-        fixed: list[tuple[int, int]] = []
-        for side in (0, 1):
-            f, s = start, side
+        size, f = 1, start
+        while True:
+            t = a[f]
+            if t == f:
+                end = 3 * f + ia
+                break
+            if seen[t]:  # back at the start: a cycle
+                end = -1
+                break
+            seen[t] = True
+            size += 1
+            f = b[t]
+            if f == t:
+                end = 3 * t + ib
+                break
+            if seen[f]:
+                end = -1
+                break
+            seen[f] = True
+            size += 1
+        if end >= 0:
+            f = start
             while True:
-                t = pair[s][f]
+                t = b[f]
                 if t == f:
-                    fixed.append((f, (i, j)[s]))
-                    break
-                if seen[t]:  # back at the start: a cycle
+                    other = 3 * f + ib
                     break
                 seen[t] = True
-                block.append(t)
-                f, s = t, 1 - s
-            if not fixed:
-                break
-        blocks.append(block)
-        ends.append(fixed)
-    return blocks, ends
+                size += 1
+                f = a[t]
+                if f == t:
+                    other = 3 * t + ia
+                    break
+                seen[f] = True
+                size += 1
+            ends += (end, other)
+            size += (end % 3 == 1) + (other % 3 == 1)
+        corners.append(size // 2)
+    return corners
 
 
 def fixed_flag_counts(fs: FlagSystem) -> tuple[int, int, int]:
-    return tuple(
-        sum(1 for f in range(fs.flags) if g[f] == f) for g in fs.gens
-    )  # type: ignore[return-value]
+    r = range(fs.flags)
+    return tuple(sum(map(operator.eq, g, r)) for g in fs.gens)  # type: ignore[return-value]
 
 
 def two_coloring(fs: FlagSystem) -> list[int] | None:
@@ -241,45 +262,60 @@ class SurfaceInvariants:
     type_signature: tuple[int, int]
 
 
-def _corners(walk) -> tuple[int, ...]:
-    """Face sizes or vertex degrees, sorted: the g1-orbits of each cell of
-    a <g0,g1> or <g1,g2> walk.  A cell has (size + g1-fixed flags) / 2 of
-    them, and its g1-fixed flags are its g1-fixed ends."""
-    blocks, ends = walk
-    return tuple(sorted(
-        (len(block) + sum(k == 1 for _, k in fixed)) // 2
-        for block, fixed in zip(blocks, ends)
-    ))
-
-
 def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
-    """Cell counts, Euler characteristic, orientability, boundary and type.
+    """Cell counts, Euler characteristic, orientability, boundary and type,
+    from one ``_pair_walk`` per dihedral pair.
 
     chi is the cell count of the flag triangulation,
     (V+E+F) - (#orbits<g0> + #orbits<g1> + #orbits<g2>) + #flags, which
     unlike the naive V - E + F handles semi-edges and boundary
     degeneracies uniformly.  An involution with k fixed flags has
     (flags + k)/2 orbits, so chi = V+E+F - (flags + fixed flags)/2.
+
+    Boundary circuits come from the fixed ends.  A fixed incidence
+    (flag, generator) is a boundary side of the flag triangulation, and
+    it ends one path in each of the two pairs that contain its generator,
+    so the surface has a boundary exactly when some walk found a path.
+    Linking the two ends of every path gives each incidence two links:
+    the link graph is 2-regular, so its components are the circuits.
+    Counting link ends both ways, twice the incidences is twice the
+    links, so there are as many incidences as paths.  Union-find over the
+    incidences joins two components at each successful union, so
+    circuits = paths - successful unions.
     """
     fs.require_valid()
-    walks = [_pair_walk(fs, i, j) for i, j in _PAIRS]
-    v, e, f = (len(blocks) for blocks, _ in walks)
+    g0, g1, g2 = fs.gens
+    ends: list[int] = []
+    degrees = _pair_walk(g1, g2, 1, 2, ends)
+    e = len(_pair_walk(g0, g2, 0, 2, ends))
+    sizes = _pair_walk(g0, g1, 0, 1, ends)
+    v, f = len(degrees), len(sizes)
     fixed = fixed_flag_counts(fs)
     chi = (v + e + f) - (fs.flags + sum(fixed)) // 2
 
-    has_boundary = any(fixed)
+    has_boundary = bool(ends)
     orientable = two_coloring(fs) is not None
     orientable_closed = orientable and not has_boundary
 
-    b = _circuits(walks) if has_boundary else 0
+    b = len(ends) // 2
+    parent: dict[int, int] = {}
+    for k in range(0, len(ends), 2):
+        x, y = ends[k], ends[k + 1]
+        while (p := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(p, p)  # path halving
+        while (p := parent.get(y, y)) != y:
+            parent[y] = y = parent.get(p, p)
+        if x != y:
+            parent[x] = y
+            b -= 1
     genus = Genus(
         "bordered" if has_boundary else "orientable" if orientable else "nonorientable",
         (2 - chi - b) // 2 if orientable else 2 - chi - b,
         orientable,
     )
 
-    face_sizes = _corners(walks[2])
-    vertex_degrees = _corners(walks[0])
+    face_sizes = tuple(sorted(sizes))
+    vertex_degrees = tuple(sorted(degrees))
     type_signature = (
         math.lcm(*face_sizes) if face_sizes else 0,
         math.lcm(*vertex_degrees) if vertex_degrees else 0,
@@ -299,41 +335,6 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
         vertex_degrees=vertex_degrees,
         type_signature=type_signature,
     )
-
-
-def _circuits(walks) -> int:
-    """Boundary circuits, from the fixed ends of the three pair walks.
-
-    A fixed incidence (flag, generator) is a boundary side of the flag
-    triangulation, and it ends one path in each of the two pairs that
-    contain its generator.  Linking the two ends of every path therefore
-    gives each incidence two links: the link graph is 2-regular, so its
-    components are the circuits.  Counting link ends both ways, twice the
-    incidences is twice the links, so there are as many incidences as
-    paths.  Union-find over the incidences, numbered 3 * flag +
-    generator, joins two components at each successful union, so
-    circuits = paths - successful unions.
-    """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while (p := parent.get(x, x)) != x:
-            up = parent.get(p, p)  # path halving
-            parent[x] = up
-            x = up
-        return x
-
-    paths = unions = 0
-    for _, ends in walks:
-        for fixed in ends:
-            if fixed:
-                (f, i), (h, j) = fixed
-                a, b = find(3 * f + i), find(3 * h + j)
-                paths += 1
-                if a != b:
-                    parent[a] = b
-                    unions += 1
-    return paths - unions
 
 
 def boundary_components(fs: FlagSystem) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import FlagSystem, _valid, canonical_form, fixed_flag_counts, two_coloring
+from .core import FlagSystem, _valid, fixed_flag_counts, two_coloring
 from .errors import FlagmapsError
 from .perms import Perm, block_index, is_perm, orbit_of, orbits
 
@@ -172,6 +172,12 @@ def lift_automorphisms(cover: FlagSystem, aut: Perm) -> tuple[Perm, Perm]:
 
 
 def cover_round_trip_ok(fs: FlagSystem) -> bool:
-    """quotient(cover(fs), <deck>) is isomorphic to fs."""
+    """quotient(cover(fs), <deck>) equals fs, tables and all.
+
+    In the sheet layout the deck's orbits are the blocks {f, f + n}, and
+    ``quotient_by`` lists them by least flag, so block f is numbered f.
+    A cover generator sends f to g f + n, in block g f, so the quotient's
+    tables are fs's own; equality is therefore what a correct cover and
+    quotient give, and it implies isomorphism."""
     cover = orientable_double_cover(fs)
-    return canonical_form(quotient_by(cover, [deck(cover)])) == canonical_form(fs)
+    return quotient_by(cover, [deck(cover)]) == fs

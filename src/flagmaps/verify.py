@@ -15,6 +15,7 @@ from .core import (
     HYPERMAP,
     MAP,
     FlagSystem,
+    _labelled,
     _search,
     canonical_form,
     is_isomorphic,
@@ -343,7 +344,13 @@ def _involutions(n: int) -> list[tuple[int, ...]]:
 def naive_class_counts(max_flags: int, kind: str) -> dict[int, int]:
     """Brute-force oracle: enumerate every involution triple on exactly
     n points, filter transitivity (and the map relation), and count
-    isomorphism classes via canonical forms."""
+    isomorphism classes via canonical forms.
+
+    A triple whose labelling from flag 0 (``core._labelled``) was seen
+    before is skipped before its canonical form is taken.  Each triple is
+    isomorphic to its labelled tables, so two triples with the same ones
+    are isomorphic, and the skipped triple adds no class: the counts stay
+    exact."""
     counts = {}
     for n in range(1, max_flags + 1):
         invs = _involutions(n)
@@ -356,12 +363,16 @@ def naive_class_counts(max_flags: int, kind: str) -> dict[int, int]:
             ]
         else:
             pairs = [(a, b) for a in invs for b in invs]
-        codes = set()
+        codes, labelled = set(), set()
         for g0, g2 in pairs:
             for g1 in invs:
                 tables = (g0, g1, g2)
                 if len(orbit_of(tables, [0])) < n:
                     continue
+                from_0 = _labelled(tables, 0)[2]
+                if from_0 in labelled:
+                    continue
+                labelled.add(from_0)
                 codes.add(canonical_form(FlagSystem(kind, n, g0, g1, g2)))
         counts[n] = len(codes)
     return counts

@@ -205,10 +205,26 @@ def _g1_orbits_per_cell(fs, i, j):
 
 
 def _assert_walk_matches_orbits(fs):
+    """Check each fact ``surface_invariants`` reads from the pair walks
+    against a reference built from ``orbits`` and direct counts.  The
+    walk keeps no blocks, so it is checked by what it returns: the orbit
+    count, its fixed ends, and that the two ends of each path lie in one
+    orbit; the corners and circuits through ``surface_invariants``."""
+    n = fs.flags
+    counts = []
     for i, j in ((1, 2), (0, 2), (0, 1)):
-        blocks = [tuple(sorted(block)) for block in _pair_walk(fs, i, j)[0]]
-        assert blocks == orbits([fs.gen(i), fs.gen(j)], fs.flags)
+        ends = []
+        corners = _pair_walk(fs.gen(i), fs.gen(j), i, j, ends)
+        blocks = orbits([fs.gen(i), fs.gen(j)], n)
+        assert len(corners) == len(blocks)
+        counts.append(len(blocks))
+        assert sorted(ends) == [3 * f + k for f in range(n) for k in (i, j) if fs.gen(k)[f] == f]
+        block_of = {f: b for b, block in enumerate(blocks) for f in block}
+        assert all(block_of[x // 3] == block_of[y // 3] for x, y in zip(ends[::2], ends[1::2]))
     inv = surface_invariants(fs)
+    assert (inv.vertices, inv.edges, inv.faces) == tuple(counts)
+    assert inv.fixed_flags == tuple(sum(g[f] == f for f in range(n)) for g in fs.gens)
+    assert inv.has_boundary == any(inv.fixed_flags)
     assert inv.face_sizes == _g1_orbits_per_cell(fs, 0, 1)
     assert inv.vertex_degrees == _g1_orbits_per_cell(fs, 1, 2)
     if inv.has_boundary:
@@ -263,7 +279,7 @@ def _random_system(rng, kind, size):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 40), st.randoms(use_true_random=False))
+@given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 200), st.randoms(use_true_random=False))
 def test_pair_walk_matches_orbits_on_random_systems(kind, size, rng):
     _assert_walk_matches_orbits(_random_system(rng, kind, size))
 
