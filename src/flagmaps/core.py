@@ -299,8 +299,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
 
     b = len(ends) // 2
     parent: dict[int, int] = {}
-    for k in range(0, len(ends), 2):
-        x, y = ends[k], ends[k + 1]
+    for x, y in zip(ends[::2], ends[1::2]):
         while (p := parent.get(x, x)) != x:
             parent[x] = x = parent.get(p, p)  # path halving
         while (p := parent.get(y, y)) != y:

@@ -363,16 +363,16 @@ def naive_class_counts(max_flags: int, kind: str) -> dict[int, int]:
             ]
         else:
             pairs = [(a, b) for a in invs for b in invs]
-        codes, labelled = set(), set()
+        codes, seen = set(), set()
         for g0, g2 in pairs:
             for g1 in invs:
                 tables = (g0, g1, g2)
                 if len(orbit_of(tables, [0])) < n:
                     continue
                 from_0 = _labelled(tables, 0)[2]
-                if from_0 in labelled:
+                if from_0 in seen:
                     continue
-                labelled.add(from_0)
+                seen.add(from_0)
                 codes.add(canonical_form(FlagSystem(kind, n, g0, g1, g2)))
         counts[n] = len(codes)
     return counts
