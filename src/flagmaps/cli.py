@@ -121,8 +121,7 @@ def _analyze(args: argparse.Namespace) -> int:
         + ("orientable" if summary["orientable"] else "non-orientable")
         + (f", {boundary} boundary component(s)" if boundary else ", closed")
     )
-    print(f"type: {{{summary['type'][0]},{summary['type'][1]}}}"
-          if len(summary["type"]) == 2 else f"type: {tuple(summary['type'])}")
+    print(f"type: {{{summary['type'][0]},{summary['type'][1]}}}")
     flagsline = [
         name
         for name, on in (

@@ -282,6 +282,10 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     links, so there are as many incidences as paths.  Union-find over the
     incidences joins two components at each successful union, so
     circuits = paths - successful unions.
+
+    The type is the lcm of the face sizes and of the vertex degrees.  A
+    valid system has at least one flag, so each pair has an orbit and
+    both lists are non-empty.
     """
     fs.require_valid()
     g0, g1, g2 = fs.gens
@@ -315,10 +319,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
 
     face_sizes = tuple(sorted(sizes))
     vertex_degrees = tuple(sorted(degrees))
-    type_signature = (
-        math.lcm(*face_sizes) if face_sizes else 0,
-        math.lcm(*vertex_degrees) if vertex_degrees else 0,
-    )
+    type_signature = (math.lcm(*face_sizes), math.lcm(*vertex_degrees))
     return SurfaceInvariants(
         vertices=v,
         edges=e,

@@ -14,9 +14,9 @@ Encodings:
   from that image builds it.
 * GroupMap: flags are the elements of a permutation group, generators
   act by right multiplication, automorphisms by left multiplication.
-  It is the one place where a group is expanded;
-  ``grouplevel.explicit_model`` analyses a GroupMap, and
-  ``check_involution_triple`` is the precondition both levels share.
+  It is the one place where a group is expanded; ``grouplevel`` analyses
+  a GroupMap as itself, and ``check_involution_triple`` is the
+  precondition both levels share.
   The tetrahedron, octahedron and icosahedron are GroupMaps of their
   automorphism groups, each given by its involution triple acting on the
   vertices (``_PLATONIC``); ``k6_projective`` quotients the icosahedron by
@@ -256,6 +256,7 @@ class GroupMap:
     def __init__(self, r0: Perm, r1: Perm, r2: Perm, kind: str = MAP):
         check_involution_triple(r0, r1, r2, kind)
         self.generators = (r0, r1, r2)
+        self.kind = kind
         elements = sorted(generate_closure([r0, r1, r2]))
         self.elements: tuple[Perm, ...] = tuple(elements)
         self._index = {e: i for i, e in enumerate(elements)}

@@ -2,11 +2,13 @@
 
 For a regular map the flags are group elements, so cell counts and
 quotient data reduce to subgroup orders, centralizers and conjugacy.
-A GroupModel holds the involution triple and either all of S_n, handled
-symbolically, which keeps the symmetric-group families tractable where
-n! flags are far beyond explicit expansion, or the explicit group as a
+The group is given in one of two ways.  A GroupModel holds the
+involution triple of all of S_n, handled symbolically, which keeps the
+symmetric-group families tractable where n! flags are far beyond
+explicit expansion.  An explicit group is analysed as its own
 ``families.GroupMap``, which is the only place a group is expanded.
-Everything here is exact integer arithmetic.
+Both expose ``generators``, ``order`` and ``kind``.  Everything here is
+exact integer arithmetic.
 
 No check here re-proves what the constructions guarantee: the standard
 triple generates S_n, dihedral subgroup orders divide |G|, and an
@@ -20,7 +22,7 @@ on S_n from the parity of the generators, on an explicit group by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import HYPERMAP, MAP
 from .covers import ORIENTATION_REVERSING, NotOrientableClosedError, orientation_action
@@ -40,7 +42,6 @@ from .perms import (
     compose,
     cycle_type,
     identity,
-    inverse,
     is_involution,
     parity,
     perm_order,
@@ -50,19 +51,13 @@ from .perms import (
 
 @dataclass(frozen=True)
 class GroupModel:
-    """A regular map/hypermap given by its generator triple.
-
-    ``group`` is None when the triple generates all of S_n (n = len(r0)),
-    with membership and centralizers handled symbolically; otherwise it
-    is the explicitly expanded group, as the GroupMap of the triple.
-    The triple fixes the group, so equality follows the triple alone.
-    """
+    """All of S_n (n = len(r0)) given by its standard involution triple,
+    with membership and centralizers handled symbolically."""
 
     r0: Perm
     r1: Perm
     r2: Perm
     kind: str
-    group: GroupMap | None = field(compare=False)
 
     @property
     def generators(self) -> tuple[Perm, Perm, Perm]:
@@ -70,9 +65,7 @@ class GroupModel:
 
     @property
     def order(self) -> int:
-        if self.group is None:
-            return math.factorial(len(self.r0))
-        return self.group.order
+        return math.factorial(len(self.r0))
 
 
 def symmetric_model(n: int, hypermap: bool = False) -> GroupModel:
@@ -87,12 +80,7 @@ def symmetric_model(n: int, hypermap: bool = False) -> GroupModel:
     r0, r1, r2 = symmetric_generators(n, hypermap)
     kind = HYPERMAP if hypermap else MAP
     check_involution_triple(r0, r1, r2, kind)
-    return GroupModel(r0, r1, r2, kind, None)
-
-
-def explicit_model(r0: Perm, r1: Perm, r2: Perm, kind: str = MAP) -> GroupModel:
-    """Group model with the generated group expanded as a GroupMap."""
-    return GroupModel(r0, r1, r2, kind, GroupMap(r0, r1, r2, kind))
+    return GroupModel(r0, r1, r2, kind)
 
 
 @dataclass(frozen=True)
@@ -105,8 +93,9 @@ class RegularCells:
     type_signature: tuple[int, ...]
 
 
-def regular_cells(gm: GroupModel) -> RegularCells:
-    """Cell counts of the regular system from subgroup orders.
+def regular_cells(gm: GroupModel | GroupMap) -> RegularCells:
+    """Cell counts of the regular system from subgroup orders, on S_n
+    held symbolically or on an explicit GroupMap.
 
     G acts regularly on the flags by right multiplication, so the cells
     of the pair (i, j) are the cosets of <r_i, r_j>.  That dihedral group
@@ -114,23 +103,24 @@ def regular_cells(gm: GroupModel) -> RegularCells:
     V = |G| / (2 ord(r1 r2)), E = |G| / (2 ord(r0 r2)) and
     F = |G| / (2 ord(r0 r1)) are exact.  chi = V + E + F - |G|/2 counts
     the flag triangulation: |G| triangles, and 3|G|/2 sides, since a
-    non-identity generator fixes no flag.  For a map with de = 4, E = |G|/4 and the
-    count is V - E + F.
+    non-identity generator fixes no flag.  For a map with de = 4,
+    E = |G|/4 and the count is V - E + F.
     """
+    r0, r1, r2 = gm.generators
     order = gm.order
-    dv = 2 * perm_order(compose(gm.r1, gm.r2))
-    de = 2 * perm_order(compose(gm.r0, gm.r2))
-    df = 2 * perm_order(compose(gm.r0, gm.r1))
+    dv = 2 * perm_order(compose(r1, r2))
+    de = 2 * perm_order(compose(r0, r2))
+    df = 2 * perm_order(compose(r0, r1))
     v, e, f = order // dv, order // de, order // df
     chi = v + e + f - order // 2
     if gm.kind == MAP:
-        type_signature = (perm_order(compose(gm.r0, gm.r1)),
-                          perm_order(compose(gm.r1, gm.r2)))
+        type_signature = (perm_order(compose(r0, r1)),
+                          perm_order(compose(r1, r2)))
     else:
         type_signature = (
-            perm_order(compose(gm.r1, gm.r2)),
-            perm_order(compose(gm.r2, gm.r0)),
-            perm_order(compose(gm.r0, gm.r1)),
+            perm_order(compose(r1, r2)),
+            perm_order(compose(r2, r0)),
+            perm_order(compose(r0, r1)),
         )
     return RegularCells(order, v, e, f, chi, type_signature)
 
@@ -157,9 +147,10 @@ class QuotientAnalysis:
     genus_note: str
 
 
-def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
+def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
     """Boundary, orientability, automorphism order and stability of the
-    quotient of the regular system by a non-identity involution a in G.
+    quotient of the regular system by a non-identity involution a in G,
+    which is all of S_n held symbolically or an explicit GroupMap.
 
     Boundary appears iff a is conjugate to some generator; the quotient
     is non-orientable iff a lies outside the even-word subgroup; its
@@ -174,22 +165,34 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
     even-word subgroup.  On S_n the only non-trivial one is the sign, so
     the system is orientable iff all three generators are odd, and a
     reverses the orientation iff a is odd.  On an explicit group
-    ``covers.orientation_action`` decides both.  Then the cover's chi is
-    2 - 2g, even, and the quotient has half of it.
+    ``covers.orientation_action`` decides both, from the automorphism h
+    that a induces.  Then the cover's chi is 2 - 2g, even, and the
+    quotient has half of it.
+
+    On an explicit group the conjugacy test reads the GroupMap's own
+    tables: flag e is the element e, the table of generator r sends it
+    to e*r, and h sends it to a*e.  So a*e = e*r for some flag e exactly
+    when a = e r e^-1 is conjugate to r.
     """
     a = tuple(a)
-    group = gm.group
-    if len(a) != len(gm.r0):
+    explicit = isinstance(gm, GroupMap)
+    if len(a) != len(gm.generators[0]):
         raise NotInGroupError("degree mismatch")
-    if group is None:
+    if not explicit:
         check_perms([a])  # S_n keeps no element set to test a against
-    elif a not in group:
+    elif a not in gm:
         raise NotInGroupError("a is not an element of the group")
     if not is_involution(a) or a == identity(len(a)):
         raise NotInvolutionError("a must be a non-identity involution")
 
     ct = cycle_type(a)
-    if group is None:
+    if explicit:
+        h = gm.automorphism(a)
+        reversing = orientation_action(gm.fs, h) == ORIENTATION_REVERSING
+        boundary = any(x == y for g in gm.fs.gens for x, y in zip(g, h))
+        centralizer = sum(1 for g in gm.elements if compose(a, g) == compose(g, a))
+        central = centralizer == gm.order
+    else:
         if any(parity(r) == 0 for r in gm.generators):
             raise NotOrientableClosedError(
                 "an even generator: the system on S_n is not orientable"
@@ -198,17 +201,6 @@ def quotient_analysis(gm: GroupModel, a: Perm) -> QuotientAnalysis:
         reversing = parity(a) == 1
         centralizer = sym_centralizer_order(ct)
         central = len(a) <= 2
-    else:
-        reversing = (
-            orientation_action(group.fs, group.automorphism(a)) == ORIENTATION_REVERSING
-        )
-        boundary = any(
-            compose(inverse(g), r, g) == a
-            for r in gm.generators
-            for g in group.elements
-        )
-        centralizer = sum(1 for g in group.elements if compose(a, g) == compose(g, a))
-        central = centralizer == group.order
 
     cells_ = regular_cells(gm)
     quotient_chi = cells_.chi // 2

@@ -26,7 +26,6 @@ from flagmaps.families import (
 from flagmaps.grouplevel import (
     NotInGroupError,
     NotInvolutionError,
-    explicit_model,
     family_report,
     quotient_analysis,
     regular_cells,
@@ -111,7 +110,7 @@ def test_quotient_analysis_refuses_a_non_permutation_on_s_n():
         quotient_analysis(symmetric_model(11), (11, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
 
 
-@pytest.mark.parametrize("build", [GroupMap, explicit_model], ids=["GroupMap", "explicit_model"])
+@pytest.mark.parametrize("build", [GroupMap], ids=["GroupMap"])
 def test_a_non_permutation_generator_is_refused(build):
     """A generator that is no permutation of its own indices is refused
     before the involution test reads past its end."""
@@ -122,12 +121,11 @@ def test_a_non_permutation_generator_is_refused(build):
 
 def test_explicit_model_nn2():
     gm4 = nn2_map(2)  # n = 4, group of order 16
-    model = explicit_model(*gm4.generators, kind=MAP)
-    rc = regular_cells(model)
+    rc = regular_cells(gm4)
     assert (rc.group_order, rc.vertices, rc.edges, rc.faces) == (16, 2, 4, 2)
     assert rc.chi == 0
     a = compose(*gm4.generators)
-    qa = quotient_analysis(model, a)
+    qa = quotient_analysis(gm4, a)
     assert qa.aut_order == 4
     assert not qa.stable
     assert qa.orientation_reversing and not qa.boundary
@@ -135,11 +133,10 @@ def test_explicit_model_nn2():
 
 def test_explicit_model_central_involution_is_stable():
     gm = nn2_map(2)
-    r0, r1, r2 = gm.generators
+    _, r1, r2 = gm.generators
     x = compose(r1, r2)
     xm = compose(x, x)  # x^2 = x^m for m=2: the central involution
-    model = explicit_model(r0, r1, r2, kind=MAP)
-    qa = quotient_analysis(model, xm)
+    qa = quotient_analysis(gm, xm)
     assert qa.stable
     assert not qa.orientation_reversing
 
@@ -150,7 +147,6 @@ def test_explicit_model_agrees_with_the_flag_level_quotient():
     # quotient by left multiplication with a
     cases = 0
     for gm in [nn2_map(m) for m in range(1, 5)] + [GroupMap(*icosahedron().gens)]:
-        model = explicit_model(*gm.generators, kind=gm.fs.kind)
         ident = identity(len(gm.generators[0]))
         for a in gm.elements:
             if a == ident or not is_involution(a):
@@ -159,7 +155,7 @@ def test_explicit_model_agrees_with_the_flag_level_quotient():
             if orientation_action(gm.fs, h) != "reversing":
                 continue
             q = quotient_by(gm.fs, [identity(gm.fs.flags), h])
-            qa = quotient_analysis(model, a)
+            qa = quotient_analysis(gm, a)
             assert qa.orientation_reversing
             assert qa.aut_order == automorphism_group(q).order
             assert qa.boundary == surface_invariants(q).has_boundary
@@ -168,21 +164,47 @@ def test_explicit_model_agrees_with_the_flag_level_quotient():
     assert cases == 56
 
 
+def test_explicit_and_symbolic_s7_agree():
+    """The two group-level branches on the same group: S_7 expanded as a
+    GroupMap against S_7 held symbolically, for maps and hypermaps."""
+    for hypermap in (False, True):
+        explicit, symbolic = symmetric_map(7, hypermap), symmetric_model(7, hypermap)
+        assert regular_cells(explicit) == regular_cells(symbolic)
+        for m in (2, 4, 6):
+            a = support_involution(m, 7)
+            assert quotient_analysis(explicit, a) == quotient_analysis(symbolic, a)
+
+
+def test_nn2_quotient_law_at_both_levels():
+    """{n,n}_2 by r0*r1*r2, n = 2m: the group level and the flag level
+    give Aut of order 4, a cover of order 8m and index m, so the
+    quotient is stable exactly when m = 1."""
+    for m in range(1, 13):
+        gm = nn2_map(m)
+        a = compose(*gm.generators)
+        qa = quotient_analysis(gm, a)
+        assert qa.aut_order == 4
+        assert not qa.boundary and qa.orientation_reversing
+        assert qa.stable == (m == 1)
+        rep = stability_report(quotient_by(gm.fs, [gm.automorphism(a)]))
+        assert (rep.base_aut_order, rep.cover_aut_order, rep.instability_index) == (4, 8 * m, m)
+        assert rep.stable == qa.stable
+
+
 def test_group_level_cells_equal_flag_level_cells():
     """regular_cells on the explicit group against the cells walked on its
     flags, and the Lagrange premise: each dihedral order divides |G|."""
     group_maps = [nn2_map(m) for m in range(1, 7)] + [_platonic(name) for name in _PLATONIC]
     group_maps += [symmetric_map(5), symmetric_map(5, hypermap=True), symmetric_map(7)]
     for gm in group_maps:
-        model = explicit_model(*gm.generators, kind=gm.fs.kind)
-        rc = regular_cells(model)
+        rc = regular_cells(gm)
         inv = surface_invariants(gm.fs)
         assert rc.group_order == gm.fs.flags
         assert (rc.vertices, rc.edges, rc.faces, rc.chi) == (
             inv.vertices, inv.edges, inv.faces, inv.chi,
         )
         for s, t in itertools.combinations(gm.generators, 2):
-            assert model.order % (2 * perm_order(compose(s, t))) == 0
+            assert gm.order % (2 * perm_order(compose(s, t))) == 0
 
 
 def test_not_orientable_closed_is_one_error_at_both_levels():
@@ -194,7 +216,7 @@ def test_not_orientable_closed_is_one_error_at_both_levels():
         with pytest.raises(NotOrientableClosedError):
             quotient_analysis(gm, support_involution(2, n))
     with pytest.raises(NotOrientableClosedError):
-        quotient_analysis(explicit_model(*symmetric_generators(5)), support_involution(2, 5))
+        quotient_analysis(GroupMap(*symmetric_generators(5)), support_involution(2, 5))
     with pytest.raises(NotOrientableClosedError):
         orientation_action(symmetric_map(5).fs, identity(120))
 
@@ -214,7 +236,6 @@ def test_bad_triples_raise_the_same_error_at_both_levels(monkeypatch):
         monkeypatch.setattr(grouplevel, "symmetric_generators", lambda n, h: triple)
         builders = (
             lambda: GroupMap(*triple, kind),
-            lambda: explicit_model(*triple, kind=kind),
             lambda: symmetric_model(5, hypermap=kind == HYPERMAP),
         )
         for build in builders:
