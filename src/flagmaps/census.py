@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, TextIO
 from .core import HYPERMAP, MAP, FlagSystem, SurfaceInvariants, _labelling, _valid
 from .core import encode, surface_invariants
 from .errors import BadBoundError, FlagmapsError
+from .symmetry import AutGroup, StabilityReport, SymmetryClass
 from .symmetry import automorphism_group, stability_report, symmetry_class
 
 
@@ -148,16 +149,13 @@ def enumerate_flag_systems(max_flags: int, kind: str = MAP) -> Iterator[FlagSyst
 
 @dataclass(frozen=True)
 class CensusRecord:
+    """One system and what ``analyze`` finds for it, each fact once."""
+
     fs: FlagSystem
     invariants: SurfaceInvariants
-    aut_order: int
-    regular: bool
-    edge_transitive: bool
-    edge_regular: bool
-    stable: bool | None
-    instability_index: int | None
-    cover_aut_order: int | None
-    lifted_subgroup_verified: bool | None
+    aut: AutGroup
+    symmetry: SymmetryClass
+    stability: StabilityReport | None
 
 
 def analyze(fs: FlagSystem) -> CensusRecord:
@@ -167,29 +165,15 @@ def analyze(fs: FlagSystem) -> CensusRecord:
     the last system.
 
     Stability is undefined for orientable boundary-free systems (their
-    canonical double cover would be disconnected); those fields are None.
+    canonical double cover would be disconnected); ``stability`` is None.
     """
     inv = surface_invariants(fs)
-    aut = automorphism_group(fs)
-    sym = symmetry_class(fs)
-    stable = index = cover_order = lifted = None
-    if not inv.orientable_no_boundary:
-        rep = stability_report(fs)
-        stable = rep.stable
-        index = rep.instability_index
-        cover_order = rep.cover_aut_order
-        lifted = rep.lifted_subgroup_verified
     return CensusRecord(
-        fs=fs,
-        invariants=inv,
-        aut_order=aut.order,
-        regular=sym.regular,
-        edge_transitive=sym.edge_transitive,
-        edge_regular=sym.edge_regular,
-        stable=stable,
-        instability_index=index,
-        cover_aut_order=cover_order,
-        lifted_subgroup_verified=lifted,
+        fs,
+        inv,
+        automorphism_group(fs),
+        symmetry_class(fs),
+        None if inv.orientable and not inv.boundary_components else stability_report(fs),
     )
 
 
@@ -228,9 +212,9 @@ def _tally(summary: dict[int, dict[str, int]], r: CensusRecord) -> None:
         r.fs.flags, {"classes": 0, "stable": 0, "unstable": 0, "undefined": 0}
     )
     row["classes"] += 1
-    if r.stable is None:
+    if r.stability is None:
         row["undefined"] += 1
-    elif r.stable:
+    elif r.stability.stable:
         row["stable"] += 1
     else:
         row["unstable"] += 1
@@ -248,15 +232,15 @@ def write_census(records: Iterable[CensusRecord], out: TextIO) -> dict[int, dict
     for r in records:
         if not hasattr(r.fs, "_ties"):
             raise FlagmapsError("census_csv takes records of systems the census emitted")
-        inv = r.invariants
+        inv, sym, rep = r.invariants, r.symmetry, r.stability
         writer.writerow([
             r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
             int(inv.orientable), inv.boundary_components,
             inv.genus.surface, inv.genus.value,
-            r.aut_order, int(r.regular), int(r.edge_transitive),
-            int(r.edge_regular),
-            "" if r.stable is None else int(r.stable),
-            "" if r.instability_index is None else r.instability_index,
+            r.aut.order, int(sym.regular), int(sym.edge_transitive),
+            int(sym.edge_regular),
+            "" if rep is None else int(rep.stable),
+            "" if rep is None else rep.instability_index,
             encode(r.fs).hex(),
         ])
         _tally(summary, r)

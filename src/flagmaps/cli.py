@@ -80,7 +80,7 @@ def _build(args: argparse.Namespace) -> int:
 def analysis_summary(fs: FlagSystem) -> dict:
     """Invariants, symmetry class, and the stability report when defined."""
     rec = analyze(fs)
-    inv = rec.invariants
+    inv, sym, rep = rec.invariants, rec.symmetry, rec.stability
     return {
         "kind": fs.kind,
         "flags": fs.flags,
@@ -94,13 +94,13 @@ def analysis_summary(fs: FlagSystem) -> dict:
         "type": list(inv.type_signature),
         "faceSizes": list(inv.face_sizes),
         "vertexDegrees": list(inv.vertex_degrees),
-        "baseAut": rec.aut_order,
-        "regular": rec.regular,
-        "edgeTransitive": rec.edge_transitive,
-        "edgeRegular": rec.edge_regular,
-        "coverAut": rec.cover_aut_order,
-        "index": None if rec.instability_index is None else str(rec.instability_index),
-        "stable": rec.stable,
+        "baseAut": rec.aut.order,
+        "regular": sym.regular,
+        "edgeTransitive": sym.edge_transitive,
+        "edgeRegular": sym.edge_regular,
+        "coverAut": None if rep is None else rep.cover_aut_order,
+        "index": None if rep is None else str(rep.instability_index),
+        "stable": None if rep is None else rep.stable,
     }
 
 

@@ -244,18 +244,17 @@ class Genus:
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
-    """What ``surface_invariants`` computes; ``boundary_components`` is
-    the number of boundary circuits, 0 on a closed surface."""
+    """What ``surface_invariants`` computes, each fact once:
+    ``boundary_components`` is the number of boundary circuits, 0 exactly
+    when the surface is closed."""
 
     vertices: int
     edges: int
     faces: int
     fixed_flags: tuple[int, int, int]
-    has_boundary: bool
     boundary_components: int
     chi: int
     orientable: bool
-    orientable_no_boundary: bool
     genus: Genus
     face_sizes: tuple[int, ...]
     vertex_degrees: tuple[int, ...]
@@ -297,9 +296,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     fixed = fixed_flag_counts(fs)
     chi = (v + e + f) - (fs.flags + sum(fixed)) // 2
 
-    has_boundary = bool(ends)
     orientable = two_coloring(fs) is not None
-    orientable_closed = orientable and not has_boundary
 
     b = len(ends) // 2
     parent: dict[int, int] = {}
@@ -312,7 +309,7 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
             parent[x] = y
             b -= 1
     genus = Genus(
-        "bordered" if has_boundary else "orientable" if orientable else "nonorientable",
+        "bordered" if b else "orientable" if orientable else "nonorientable",
         (2 - chi - b) // 2 if orientable else 2 - chi - b,
         orientable,
     )
@@ -325,11 +322,9 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
         edges=e,
         faces=f,
         fixed_flags=fixed,
-        has_boundary=has_boundary,
         boundary_components=b,
         chi=chi,
         orientable=orientable,
-        orientable_no_boundary=orientable_closed,
         genus=genus,
         face_sizes=face_sizes,
         vertex_degrees=vertex_degrees,

@@ -16,7 +16,8 @@ orientable closed system has even chi; each proof is in the docstring
 of the function that relies on it.  Orientability is decided as at the
 flag level and refused with the same ``covers.NotOrientableClosedError``:
 on S_n from the parity of the generators, on an explicit group by
-``covers.orientation_action``.
+``covers.orientation_action``; an orientation-preserving a is refused
+with the flag level's ``covers.AlreadyOrientableClosedError``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .core import HYPERMAP, MAP
-from .covers import ORIENTATION_REVERSING, NotOrientableClosedError, orientation_action
+from .covers import ORIENTATION_REVERSING, AlreadyOrientableClosedError
+from .covers import NotOrientableClosedError, orientation_action
 from .families import (
     BadFamilyParameterError,
     GroupMap,
@@ -127,7 +129,8 @@ def regular_cells(gm: GroupModel | GroupMap) -> RegularCells:
 
 @dataclass(frozen=True)
 class QuotientAnalysis:
-    """Quotient of a regular orientable-closed system by <a>.
+    """Quotient of a regular orientable-closed system by <a>, where a
+    reverses the orientation (``quotient_analysis`` refuses any other a).
 
     ``cover_cells``/``cover_chi`` describe the regular system itself;
     the quotient has half its Euler characteristic, the same type when
@@ -158,7 +161,10 @@ def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
     central.
 
     The regular system must be orientable and closed; otherwise this
-    raises ``covers.NotOrientableClosedError``.  No flag is fixed, since
+    raises ``covers.NotOrientableClosedError``; a preserving the
+    orientation leaves the quotient orientable and closed, where
+    stability is undefined, and raises ``AlreadyOrientableClosedError``,
+    as at the flag level.  No flag is fixed, since
     the generators are non-identity elements acting by right
     multiplication, so the test is orientability: a homomorphism G -> C2
     that sends every generator to the non-identity, whose kernel is the
@@ -167,7 +173,8 @@ def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
     reverses the orientation iff a is odd.  On an explicit group
     ``covers.orientation_action`` decides both, from the automorphism h
     that a induces.  Then the cover's chi is 2 - 2g, even, and the
-    quotient has half of it.
+    quotient has half of it.  Every quotient with a boundary reverses
+    the orientation: a is then conjugate to a generator, and so reverses.
 
     On an explicit group the conjugacy test reads the GroupMap's own
     tables: flag e is the element e, the table of generator r sends it
@@ -189,36 +196,37 @@ def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
     if explicit:
         h = gm.automorphism(a)
         reversing = orientation_action(gm.fs, h) == ORIENTATION_REVERSING
+    elif any(parity(r) == 0 for r in gm.generators):
+        raise NotOrientableClosedError(
+            "an even generator: the system on S_n is not orientable"
+        )
+    else:
+        reversing = parity(a) == 1
+    if not reversing:
+        raise AlreadyOrientableClosedError(
+            "a preserves the orientation: the quotient is orientable and closed"
+        )
+    if explicit:
         boundary = any(x == y for g in gm.fs.gens for x, y in zip(g, h))
         centralizer = sum(1 for g in gm.elements if compose(a, g) == compose(g, a))
         central = centralizer == gm.order
     else:
-        if any(parity(r) == 0 for r in gm.generators):
-            raise NotOrientableClosedError(
-                "an even generator: the system on S_n is not orientable"
-            )
         boundary = any(ct == cycle_type(r) for r in gm.generators)
-        reversing = parity(a) == 1
         centralizer = sym_centralizer_order(ct)
         central = len(a) <= 2
 
     cells_ = regular_cells(gm)
     quotient_chi = cells_.chi // 2
-    if not boundary and reversing:
-        crosscap = 2 - quotient_chi
-        genus_note = (
-            f"cover genus {(2 - cells_.chi) // 2}; "
-            f"quotient is closed non-orientable, crosscap {crosscap}"
-        )
-    elif boundary:
-        genus_note = f"cover genus {(2 - cells_.chi) // 2}; quotient has boundary"
-    else:
-        genus_note = "quotient of an orientation-preserving involution"
+    genus_note = f"cover genus {(2 - cells_.chi) // 2}; " + (
+        "quotient has boundary"
+        if boundary
+        else f"quotient is closed non-orientable, crosscap {2 - quotient_chi}"
+    )
     return QuotientAnalysis(
         a=a,
         a_cycle_type=ct,
         boundary=boundary,
-        orientation_reversing=reversing,
+        orientation_reversing=True,
         aut_order=centralizer // 2,
         stable=central,
         cover_cells=(cells_.vertices, cells_.edges, cells_.faces),

@@ -91,13 +91,6 @@ def compose(*perms: Perm) -> Perm:
     return result
 
 
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def is_involution(p: Perm) -> bool:
     """True when p*p = id; fixed points are allowed (identity included)."""
     return all(p[p[i]] == i for i in range(len(p)))

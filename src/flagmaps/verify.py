@@ -113,12 +113,12 @@ def check_klein_bottle_quotient() -> CheckResult:
     e.eq("quotient flags", q.flags, 32)
     e.eq("quotient chi", inv.chi, 0)
     e.true("quotient non-orientable", not inv.orientable)
-    e.true("quotient closed", not inv.has_boundary)
-    e.eq("quotient aut order", rec.aut_order, 8)
-    e.true("quotient edge-transitive", rec.edge_transitive)
-    e.true("quotient not regular", not rec.regular)
-    e.eq("cover aut = 8 * base aut", rec.cover_aut_order, 8 * rec.aut_order)
-    e.eq("instability index", rec.instability_index, 4)
+    e.true("quotient closed", not inv.boundary_components)
+    e.eq("quotient aut order", rec.aut.order, 8)
+    e.true("quotient edge-transitive", rec.symmetry.edge_transitive)
+    e.true("quotient not regular", not rec.symmetry.regular)
+    e.eq("cover aut = 8 * base aut", rec.stability.cover_aut_order, 8 * rec.aut.order)
+    e.eq("instability index", rec.stability.instability_index, 4)
     return e.result("klein-bottle-quotient")
 
 
@@ -147,18 +147,18 @@ def check_torus_glide_series() -> CheckResult:
     torus_aut = automorphism_group(kd)
     centralizer = len(orbit_of(_search(kd.gens + (glide,))[1], [0]))
     qd = analyze(quotient_by(kd, [glide]))
-    e.true("diag(2) quotient unstable", not qd.stable)
-    e.true("diag(2) quotient not edge-transitive", not qd.edge_transitive)
-    e.eq("diag(2) quotient aut order", qd.aut_order, 16)
-    e.eq("diag(2) glide centralizer = 2 * quotient aut", centralizer, 2 * qd.aut_order)
+    e.true("diag(2) quotient unstable", not qd.stability.stable)
+    e.true("diag(2) quotient not edge-transitive", not qd.symmetry.edge_transitive)
+    e.eq("diag(2) quotient aut order", qd.aut.order, 16)
+    e.eq("diag(2) glide centralizer = 2 * quotient aut", centralizer, 2 * qd.aut.order)
     e.eq("diag(2) quotient edges", qd.invariants.edges, 32)
     e.eq("diag(2) |Aut torus|", torus_aut.order, 256)
-    e.eq("diag(2) cover aut = |Aut torus|", qd.cover_aut_order, torus_aut.order)
-    e.eq("diag(2) instability index", qd.instability_index, 8)
+    e.eq("diag(2) cover aut = |Aut torus|", qd.stability.cover_aut_order, torus_aut.order)
+    e.eq("diag(2) instability index", qd.stability.instability_index, 8)
     kr = torus_44("rect", 2)
     qr = analyze(quotient_by(kr, [glide_automorphism(kr)]))
-    e.true("rect(2) quotient unstable", not qr.stable)
-    e.true("rect(2) quotient not edge-transitive", not qr.edge_transitive)
+    e.true("rect(2) quotient unstable", not qr.stability.stable)
+    e.true("rect(2) quotient not edge-transitive", not qr.symmetry.edge_transitive)
     return e.result("torus-glide-series")
 
 
@@ -245,7 +245,7 @@ def check_flag_group_agreement() -> CheckResult:
     e.eq("quotient aut order both ways (n=7)", automorphism_group(q).order, qa.aut_order)
     e.eq(
         "quotient boundary both ways (n=7)",
-        surface_invariants(q).has_boundary,
+        surface_invariants(q).boundary_components > 0,
         qa.boundary,
     )
     e.eq("|Aut| of the 5040-flag system", automorphism_group(gm7.fs).order, 5040)
@@ -291,7 +291,7 @@ def check_medial(map_census: list[CensusRecord]) -> CheckResult:
     with_free = without_free = 0
     for rec in map_census:
         inv = rec.invariants
-        if inv.has_boundary:
+        if inv.boundary_components:
             continue
         fs = rec.fs
         # g0 f = g2 f makes {f, g0 f} a whole <g0, g2> orbit: a free edge
@@ -420,16 +420,16 @@ def check_census_laws(
         for rec in records:
             if rec.fs.flags <= oracle_max:
                 census_counts[rec.fs.flags] = census_counts.get(rec.fs.flags, 0) + 1
-            if rec.stable is None:
+            if (rep := rec.stability) is None:
                 continue
-            unverified += not rec.lifted_subgroup_verified
-            if rec.regular and not rec.stable:
+            unverified += not rep.lifted_subgroup_verified
+            if rec.symmetry.regular and not rep.stable:
                 regular_unstable += 1
-            if kind == MAP and rec.edge_transitive:
+            if kind == MAP and rec.symmetry.edge_transitive:
                 # the {2,4,8} bound comes from the order-4 edge stabilizer
                 # of maps; hypermap edge stabilizers are unbounded and the
                 # ratio law fails there (one-edge hypermaps already break it)
-                ratio, rest = divmod(rec.cover_aut_order, rec.aut_order)
+                ratio, rest = divmod(rep.cover_aut_order, rec.aut.order)
                 if rest or ratio not in (2, 4, 8):
                     bad_ratio += 1
             g0, g1, g2 = rec.fs.gens
@@ -453,7 +453,7 @@ def check_round_trips(map_census: list[CensusRecord]) -> CheckResult:
     e = _Expect()
     bad_round = 0
     for rec in map_census:
-        if rec.stable is None:
+        if rec.stability is None:
             continue
         if not cover_round_trip_ok(rec.fs):
             bad_round += 1

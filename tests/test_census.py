@@ -97,23 +97,23 @@ def test_census_invariants(map_census_8):
     for rec in map_census_8:
         inv = rec.invariants
         assert inv.vertices + inv.edges + inv.faces >= 3
-        assert rec.aut_order >= 1 and rec.fs.flags % rec.aut_order == 0
-        if rec.regular:
-            assert rec.aut_order == rec.fs.flags
-        if inv.has_boundary:
+        assert rec.aut.order >= 1 and rec.fs.flags % rec.aut.order == 0
+        if rec.symmetry.regular:
+            assert rec.aut.order == rec.fs.flags
+        if inv.boundary_components:
             b = inv.boundary_components
             assert b >= 1
             if inv.orientable:
                 assert (2 - inv.chi - b) % 2 == 0 and inv.genus.value >= 0
             else:
                 assert inv.genus.value >= 1
-        if rec.stable is not None:
-            assert rec.instability_index >= 1
-            assert isinstance(rec.instability_index, int)
-            assert rec.stable == (rec.instability_index == 1)
-            assert rec.lifted_subgroup_verified
-        else:
-            assert rec.lifted_subgroup_verified is None
+        rep = rec.stability
+        assert (rep is None) == (inv.orientable and not inv.boundary_components)
+        if rep is not None:
+            assert rep.instability_index >= 1
+            assert isinstance(rep.instability_index, int)
+            assert rep.stable == (rep.instability_index == 1)
+            assert rep.lifted_subgroup_verified
 
 
 def test_orientable_closed_iff_even_subgroup_has_two_orbits(hypermap_census_7):
@@ -125,7 +125,8 @@ def test_orientable_closed_iff_even_subgroup_has_two_orbits(hypermap_census_7):
             for b in fs.gens
         ]
         blocks = orbits(pairs, fs.flags)
-        assert (len(blocks) == 2) == rec.invariants.orientable_no_boundary
+        inv = rec.invariants
+        assert (len(blocks) == 2) == (inv.orientable and not inv.boundary_components)
 
 
 def test_barycentric_matches_naive_on_clean_maps(map_census_8):
@@ -146,7 +147,7 @@ def test_cover_chi_doubles(map_census_8, hypermap_census_7):
     the built cover."""
     covers = 0
     for rec in map_census_8 + hypermap_census_7:
-        if rec.stable is None:
+        if rec.stability is None:
             continue
         cover = orientable_double_cover(rec.fs)
         chi = surface_invariants(cover).chi

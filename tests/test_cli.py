@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from flagmaps.cli import main
 from flagmaps.core import FlagSystem, surface_invariants
+from flagmaps.covers import quotient_by
 from flagmaps.errors import FlagmapsError
 from flagmaps.families import (
     SYMMETRIC_MAX_N,
+    glide_automorphism,
     hosohedron,
     icosahedron,
     k6_projective,
     nn2_map,
+    reflection_automorphism,
     semi_star,
     symmetric_map,
     torus_44,
@@ -247,6 +250,45 @@ def test_cli_klein_quotient_analysis(tmp_path, capsys):
     assert data["index"] == "4"
     assert data["stable"] is False
     assert data["edgeTransitive"] is True
+
+
+def _quotient(fs, automorphism):
+    return quotient_by(fs, [automorphism(fs)])
+
+
+def test_cli_analyze_json_whole(tmp_path, capsys):
+    """Every key of ``analyze --json`` on a closed non-orientable system, a
+    bordered one, and an orientable closed one, whose three stability
+    values are null."""
+    cases = [
+        (_quotient(torus_44("diag", 1), glide_automorphism), {
+            "kind": "map", "flags": 32, "vertices": 4, "edges": 8, "faces": 4, "chi": 0,
+            "orientable": False, "boundaryComponents": 0, "genus": "crosscap 2",
+            "type": [4, 4], "faceSizes": [4, 4, 4, 4], "vertexDegrees": [4, 4, 4, 4],
+            "baseAut": 8, "regular": False, "edgeTransitive": True, "edgeRegular": True,
+            "coverAut": 64, "index": "4", "stable": False,
+        }),
+        (_quotient(hosohedron(5), reflection_automorphism), {
+            "kind": "map", "flags": 10, "vertices": 2, "edges": 3, "faces": 3, "chi": 1,
+            "orientable": True, "boundaryComponents": 1,
+            "genus": "bordered orientable genus 0",
+            "type": [2, 3], "faceSizes": [2, 2, 2], "vertexDegrees": [3, 3],
+            "baseAut": 2, "regular": False, "edgeTransitive": False, "edgeRegular": False,
+            "coverAut": 20, "index": "5", "stable": False,
+        }),
+        (hosohedron(3), {
+            "kind": "map", "flags": 12, "vertices": 2, "edges": 3, "faces": 3, "chi": 2,
+            "orientable": True, "boundaryComponents": 0, "genus": "genus 0",
+            "type": [2, 3], "faceSizes": [2, 2, 2], "vertexDegrees": [3, 3],
+            "baseAut": 12, "regular": True, "edgeTransitive": True, "edgeRegular": False,
+            "coverAut": None, "index": None, "stable": None,
+        }),
+    ]
+    path = tmp_path / "system.json"
+    for fs, want in cases:
+        path.write_text(serialize(fs))
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == want
 
 
 def test_cli_census(tmp_path, capsys):

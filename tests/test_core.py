@@ -103,7 +103,7 @@ def test_surface_invariants_hosohedron():
     inv = surface_invariants(hosohedron(5))
     assert (inv.vertices, inv.edges, inv.faces) == (2, 5, 5)
     assert inv.chi == 2
-    assert inv.orientable and not inv.has_boundary
+    assert inv.orientable and not inv.boundary_components
     assert inv.genus.surface == "orientable" and inv.genus.value == 0
     assert inv.type_signature == (2, 5)
     assert inv.face_sizes == (2,) * 5
@@ -115,7 +115,7 @@ def test_surface_invariants_semi_star():
         inv = surface_invariants(semi_star(n))
         assert (inv.vertices, inv.edges, inv.faces) == (1, n, 1)
         assert inv.chi == 2
-        assert inv.orientable and not inv.has_boundary
+        assert inv.orientable and not inv.boundary_components
 
 
 def test_surface_invariants_klein_quotient():
@@ -123,7 +123,7 @@ def test_surface_invariants_klein_quotient():
     q = quotient_by(k, [identity(k.flags), glide_automorphism(k)])
     inv = surface_invariants(q)
     assert inv.chi == 0
-    assert not inv.orientable and not inv.has_boundary
+    assert not inv.orientable and not inv.boundary_components
     assert inv.genus.surface == "nonorientable" and inv.genus.value == 2
 
 
@@ -140,7 +140,7 @@ def test_single_flag_map():
     fs = FlagSystem(MAP, 1, ident, ident, ident)
     inv = surface_invariants(fs)
     assert inv.chi == 1
-    assert inv.has_boundary and inv.boundary_components == 1
+    assert inv.boundary_components == 1
     assert boundary_components(fs) == 1
 
 
@@ -148,7 +148,7 @@ def test_boundary_components_disc():
     h = hosohedron(6)
     q = quotient_by(h, [identity(h.flags), reflection_automorphism(h)])
     inv = surface_invariants(q)
-    assert inv.orientable and inv.has_boundary
+    assert inv.orientable and inv.boundary_components
     assert boundary_components(q) == 1
     # chi = 2 - 2g - b for the closed disc
     assert inv.chi == 1 and inv.genus.value == 0
@@ -224,15 +224,15 @@ def _assert_walk_matches_orbits(fs):
     inv = surface_invariants(fs)
     assert (inv.vertices, inv.edges, inv.faces) == tuple(counts)
     assert inv.fixed_flags == tuple(sum(g[f] == f for f in range(n)) for g in fs.gens)
-    assert inv.has_boundary == any(inv.fixed_flags)
+    assert (inv.boundary_components > 0) == any(inv.fixed_flags)
     assert inv.face_sizes == _g1_orbits_per_cell(fs, 0, 1)
     assert inv.vertex_degrees == _g1_orbits_per_cell(fs, 1, 2)
-    if inv.has_boundary:
+    if inv.boundary_components:
         want = _reference_boundary_components(fs)
         assert boundary_components(fs) == inv.boundary_components == want
     else:
         assert boundary_components(fs) == inv.boundary_components == 0
-    return inv.has_boundary
+    return inv.boundary_components > 0
 
 
 def _random_involution(rng, points, images):

@@ -59,7 +59,7 @@ def test_cover_of_k6_is_icosahedral(icosa, k6):
     assert is_isomorphic(cover, icosa)
     inv = surface_invariants(cover)
     assert inv.chi == 2 * surface_invariants(k6).chi
-    assert not inv.has_boundary and inv.orientable
+    assert not inv.boundary_components and inv.orientable
 
 
 def test_cover_properties():
@@ -134,7 +134,7 @@ def test_quotient_is_by_the_generated_group(map_census_8, hypermap_census_7):
     rng = random.Random(24)
     checked = 0
     for rec in map_census_8 + hypermap_census_7:
-        if rec.aut_order == 1:
+        if rec.aut.order == 1:
             continue
         perm = list(range(rec.fs.flags))
         rng.shuffle(perm)
@@ -163,8 +163,8 @@ def test_quotient_boundary_iff_generator_hits_orbit():
         predicted = any(
             g[f] == a[f] for g in fs.gens for f in range(fs.flags)
         )
-        assert surface_invariants(q).has_boundary == predicted
-    assert not surface_invariants(klein).has_boundary
+        assert (surface_invariants(q).boundary_components > 0) == predicted
+    assert not surface_invariants(klein).boundary_components
 
 
 def test_orientation_action_basics():
@@ -220,7 +220,7 @@ def test_round_trip_on_families(k6):
 
 
 def _covered(map_census_8, hypermap_census_7):
-    return [rec.fs for rec in map_census_8 + hypermap_census_7 if rec.stable is not None]
+    return [rec.fs for rec in map_census_8 + hypermap_census_7 if rec.stability is not None]
 
 
 def test_lifts_are_the_cover_ties(map_census_8, hypermap_census_7):

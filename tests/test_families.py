@@ -114,7 +114,7 @@ def test_torus_44_diag():
     assert k.flags == 64
     inv = surface_invariants(k)
     assert (inv.vertices, inv.edges, inv.faces) == (8, 16, 8)
-    assert inv.chi == 0 and inv.orientable_no_boundary
+    assert inv.chi == 0 and inv.orientable and not inv.boundary_components
     assert inv.type_signature == (4, 4)
     assert symmetry_class(k).regular
 
@@ -123,7 +123,7 @@ def test_torus_44_rect():
     k = torus_44("rect", 2)
     assert k.flags == 128
     inv = surface_invariants(k)
-    assert inv.chi == 0 and inv.orientable_no_boundary
+    assert inv.chi == 0 and inv.orientable and not inv.boundary_components
     assert symmetry_class(k).regular
     assert automorphism_group(k).order == 128
 
@@ -139,7 +139,7 @@ def test_glide_automorphism_properties():
         assert orientation_action(k, a) == "reversing"
         q = quotient_by(k, [identity(k.flags), a])
         qinv = surface_invariants(q)
-        assert not qinv.orientable and not qinv.has_boundary
+        assert not qinv.orientable and not qinv.boundary_components
 
 
 def test_glide_rejects_other_maps():

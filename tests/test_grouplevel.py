@@ -9,7 +9,12 @@ import pytest
 import flagmaps
 from flagmaps import grouplevel
 from flagmaps.core import HYPERMAP, MAP, surface_invariants
-from flagmaps.covers import NotOrientableClosedError, orientation_action, quotient_by
+from flagmaps.covers import (
+    AlreadyOrientableClosedError,
+    NotOrientableClosedError,
+    orientation_action,
+    quotient_by,
+)
 from flagmaps.errors import FlagmapsError
 from flagmaps.families import (
     _PLATONIC,
@@ -131,48 +136,64 @@ def test_explicit_model_nn2():
     assert qa.orientation_reversing and not qa.boundary
 
 
-def test_explicit_model_central_involution_is_stable():
+def test_explicit_model_central_involution_is_refused():
+    """The central involution of {4,4}_2 preserves the orientation, so its
+    quotient is orientable and closed: refused at both levels."""
     gm = nn2_map(2)
     _, r1, r2 = gm.generators
     x = compose(r1, r2)
     xm = compose(x, x)  # x^2 = x^m for m=2: the central involution
-    qa = quotient_analysis(gm, xm)
-    assert qa.stable
-    assert not qa.orientation_reversing
+    with pytest.raises(AlreadyOrientableClosedError):
+        quotient_analysis(gm, xm)
+    with pytest.raises(AlreadyOrientableClosedError):
+        stability_report(quotient_by(gm.fs, [gm.automorphism(xm)]))
 
 
 def test_explicit_model_agrees_with_the_flag_level_quotient():
-    # every orientation-reversing involution a of {n,n}_2 (m = 1..4) and of
-    # the icosahedral group: quotient_analysis against the flag-level
-    # quotient by left multiplication with a
-    cases = 0
+    # every involution a of {n,n}_2 (m = 1..4) and of the icosahedral
+    # group: quotient_analysis against the flag-level quotient by left
+    # multiplication with a; where a preserves the orientation, both refuse
+    reversing = preserving = 0
     for gm in [nn2_map(m) for m in range(1, 5)] + [GroupMap(*icosahedron().gens)]:
         ident = identity(len(gm.generators[0]))
         for a in gm.elements:
             if a == ident or not is_involution(a):
                 continue
             h = gm.automorphism(a)
-            if orientation_action(gm.fs, h) != "reversing":
-                continue
             q = quotient_by(gm.fs, [identity(gm.fs.flags), h])
+            if orientation_action(gm.fs, h) != "reversing":
+                with pytest.raises(AlreadyOrientableClosedError):
+                    quotient_analysis(gm, a)
+                with pytest.raises(AlreadyOrientableClosedError):
+                    stability_report(q)
+                preserving += 1
+                continue
             qa = quotient_analysis(gm, a)
             assert qa.orientation_reversing
             assert qa.aut_order == automorphism_group(q).order
-            assert qa.boundary == surface_invariants(q).has_boundary
+            assert qa.boundary == (surface_invariants(q).boundary_components > 0)
             assert qa.stable == stability_report(q).stable
-            cases += 1
-    assert cases == 56
+            reversing += 1
+    assert (reversing, preserving) == (56, 27)
 
 
 def test_explicit_and_symbolic_s7_agree():
     """The two group-level branches on the same group: S_7 expanded as a
-    GroupMap against S_7 held symbolically, for maps and hypermaps."""
+    GroupMap against S_7 held symbolically, for maps and hypermaps.  At
+    m = 4 the involution is even, so it preserves the orientation, and
+    both branches refuse it as the flag level refuses its quotient."""
     for hypermap in (False, True):
         explicit, symbolic = symmetric_map(7, hypermap), symmetric_model(7, hypermap)
         assert regular_cells(explicit) == regular_cells(symbolic)
-        for m in (2, 4, 6):
+        for m in (2, 6):
             a = support_involution(m, 7)
             assert quotient_analysis(explicit, a) == quotient_analysis(symbolic, a)
+        a = support_involution(4, 7)
+        for gm in (explicit, symbolic):
+            with pytest.raises(AlreadyOrientableClosedError):
+                quotient_analysis(gm, a)
+        with pytest.raises(AlreadyOrientableClosedError):
+            stability_report(quotient_by(explicit.fs, [explicit.automorphism(a)]))
 
 
 def test_nn2_quotient_law_at_both_levels():

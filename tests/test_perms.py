@@ -17,7 +17,6 @@ from flagmaps.perms import (
     format_cycles,
     generate_closure,
     identity,
-    inverse,
     is_involution,
     orbits,
     parse_cycles,
@@ -45,12 +44,6 @@ def test_compose_acts_on_the_right():
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         compose((0, 1), (0, 1, 2))
-
-
-@given(perms_of(6))
-def test_inverse_round_trip(p):
-    assert compose(p, inverse(p)) == identity(6)
-    assert inverse(inverse(p)) == p
 
 
 def test_orbits_examples():
@@ -135,7 +128,7 @@ def test_generate_closure():
     assert len(s5) == 120
     ident = identity(5)
     for a in list(s5)[:20]:
-        assert inverse(a) in s5
+        assert tuple(sorted(range(5), key=a.__getitem__)) in s5  # the inverse of a
         assert compose(a, a) in s5
     assert ident in s5
     ico = icosahedron()

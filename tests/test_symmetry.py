@@ -140,6 +140,11 @@ def _assert_matches_brute_force(fs):
     return brute
 
 
+def _orientable_closed(fs):
+    inv = surface_invariants(fs)
+    return inv.orientable and not inv.boundary_components
+
+
 def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7):
     census = [rec.fs for rec in map_census_8]
     census += [rec.fs for rec in hypermap_census_7 if rec.fs.flags <= 6]
@@ -147,7 +152,7 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
     covers = 0
     for fs in systems:
         brute = _assert_matches_brute_force(fs)
-        if surface_invariants(fs).orientable_no_boundary:
+        if _orientable_closed(fs):
             continue
         cover = orientable_double_cover(fs)
         cover_brute = _assert_matches_brute_force(cover)
@@ -168,7 +173,7 @@ def test_automorphism_group_matches_brute_force(map_census_8, hypermap_census_7)
         _assert_matches_brute_force(shuffled)
         assert canonical_form(shuffled) == encode(fs)
         moved += perm.index(0) not in automorphism_group(fs).images
-        if not surface_invariants(fs).orientable_no_boundary:
+        if not _orientable_closed(fs):
             replaced += _assert_cover_count_matches_brute_force(shuffled)
     assert moved > 500 and replaced > 100
 
@@ -198,7 +203,7 @@ def _reads_below_0(fs):
 @given(st.sampled_from([MAP, HYPERMAP]), st.integers(1, 24), st.randoms(use_true_random=False))
 def test_plus_count_matches_brute_force_on_random_systems(kind, size, rng):
     fs = _random_system(rng, kind, size)
-    assume(not surface_invariants(fs).orientable_no_boundary)
+    assume(not _orientable_closed(fs))
     _assert_cover_count_matches_brute_force(fs)
 
 
@@ -215,7 +220,8 @@ def test_stability_is_refused_exactly_where_the_cover_is(map_census_8, hypermap_
     for rec in map_census_8 + hypermap_census_7:
         refused = _cover_is_refused(orientable_double_cover, rec.fs)
         assert _cover_is_refused(stability_report, rec.fs) == refused
-        assert refused == rec.invariants.orientable_no_boundary
+        inv = rec.invariants
+        assert refused == (inv.orientable and not inv.boundary_components)
         outcomes.add(refused)
     assert outcomes == {True, False}
 
@@ -231,7 +237,7 @@ def test_stability_is_refused_exactly_where_the_cover_is_on_random_systems(kind,
 def test_stability_report_walks_only_the_base_flags(map_census_8, hypermap_census_7, monkeypatch):
     """With the base group kept from a first call, every walk is of the two
     even words on the base flags: no cover, and no second base search."""
-    records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
+    records = [r for r in map_census_8 + hypermap_census_7 if r.stability is not None]
     shapes, real = [], core._labelling
 
     def labelling(rows, start):
@@ -244,7 +250,7 @@ def test_stability_report_walks_only_the_base_flags(map_census_8, hypermap_censu
     for rec in records:
         automorphism_group(rec.fs)
         shapes.clear()
-        assert stability_report(rec.fs).cover_aut_order == rec.cover_aut_order
+        assert stability_report(rec.fs) == rec.stability
         assert shapes and all(shape == (2, {rec.fs.flags}) for shape in shapes)
 
 
@@ -252,7 +258,7 @@ def test_stability_report_makes_one_free_walk(map_census_8, hypermap_census_7, m
     """The walk from flag 0 that decides transitivity also labels the even
     words for the search, which keeps that labelling: one free walk (no
     reference rows) per call, also where a start reads below it."""
-    records = [r for r in map_census_8 + hypermap_census_7 if r.stable is not None]
+    records = [r for r in map_census_8 + hypermap_census_7 if r.stability is not None]
     free, real = [], core._labelling
 
     def labelling(rows, start):
@@ -264,7 +270,7 @@ def test_stability_report_makes_one_free_walk(map_census_8, hypermap_census_7, m
     for rec in records:
         automorphism_group(rec.fs)
         free.clear()
-        assert stability_report(rec.fs).cover_aut_order == rec.cover_aut_order
+        assert stability_report(rec.fs) == rec.stability
         assert free.count(True) == 1
         below += _reads_below_0(rec.fs)
     assert below > 100
@@ -355,8 +361,8 @@ def test_cover_order_divisible_by_twice_base():
 def test_lifted_subgroup_needs_an_integer_index(map_census_8, monkeypatch):
     # a + count with one spare image: the lifted orbit still lies among the
     # images, but 2 |Aut base| > 2 no longer divides the cover order
-    rec = next(r for r in map_census_8 if r.stable is not None
-               and r.aut_order > 1 and r.cover_aut_order < 2 * r.fs.flags)
+    rec = next(r for r in map_census_8 if r.stability is not None
+               and r.aut.order > 1 and r.stability.cover_aut_order < 2 * r.fs.flags)
     real_search, real_orbit = symmetry._search, symmetry.orbit_of
     found = []
 
@@ -375,7 +381,7 @@ def test_lifted_subgroup_needs_an_integer_index(map_census_8, monkeypatch):
     monkeypatch.setattr(symmetry, "_search", search)
     monkeypatch.setattr(symmetry, "orbit_of", orbit)
     rep = stability_report(rec.fs)
-    assert rep.cover_aut_order == rec.cover_aut_order + 2
+    assert rep.cover_aut_order == rec.stability.cover_aut_order + 2
     assert not rep.lifted_subgroup_verified and not rep.stable
 
 
@@ -409,15 +415,10 @@ def test_analyze_makes_one_base_search(monkeypatch):
         rec = analyze(fs)
         assert len(base) == 1
         copy = FlagSystem(fs.kind, fs.flags, *fs.gens)
-        assert automorphism_group(copy).order == rec.aut_order
-        sym = symmetry_class(copy)
-        assert (sym.regular, sym.edge_transitive, sym.edge_regular) == (
-            rec.regular, rec.edge_transitive, rec.edge_regular)
-        if rec.stable is not None:
-            rep = stability_report(copy)
-            assert (rep.stable, rep.instability_index, rep.cover_aut_order) == (
-                rec.stable, rec.instability_index, rec.cover_aut_order)
-            assert rep.lifted_subgroup_verified == rec.lifted_subgroup_verified
+        assert rec.aut == automorphism_group(copy)
+        assert rec.symmetry == symmetry_class(copy)
+        if rec.stability is not None:
+            assert rec.stability == stability_report(copy)
             stability += 1
         assert len(base) == 2
     assert stability > 100
