@@ -233,10 +233,11 @@ def write_census(records: Iterable[CensusRecord], out: TextIO) -> dict[int, dict
         if not hasattr(r.fs, "_ties"):
             raise FlagmapsError("census_csv takes records of systems the census emitted")
         inv, sym, rep = r.invariants, r.symmetry, r.stability
+        genus = inv.genus  # a property: one Genus per row
         writer.writerow([
             r.fs.flags, inv.vertices, inv.edges, inv.faces, inv.chi,
             int(inv.orientable), inv.boundary_components,
-            inv.genus.surface, inv.genus.value,
+            genus.surface, genus.value,
             r.aut.order, int(sym.regular), int(sym.edge_transitive),
             int(sym.edge_regular),
             "" if rep is None else int(rep.stable),

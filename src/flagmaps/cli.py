@@ -12,7 +12,7 @@ import sys
 from typing import Iterator, TextIO
 
 from .census import analyze, stability_census, write_census
-from .core import HYPERMAP, MAP, FlagSystem, export_diagram
+from .core import HYPERMAP, MAP, FlagSystem, Genus, export_diagram
 from .covers import deck, orientable_double_cover, quotient_by
 from .errors import FlagmapsError
 from .families import (
@@ -191,18 +191,24 @@ def _sym(args: argparse.Namespace) -> int:
     reports = family_report(args.n, hypermap=args.hypermap)
     rows = []
     for r in reports:
+        cover = r.cover
+        quotient_chi = cover.chi // 2
         rows.append({
             "a": format_cycles(r.a),
-            "m": sum(length * mult for length, mult in r.a_cycle_type if length == 2),
+            "m": sum(x != i for i, x in enumerate(r.a)),  # the points a moves
             "autOrder": r.aut_order,
             "boundary": r.boundary,
-            "orientationReversing": r.orientation_reversing,
+            "orientationReversing": True,  # quotient_analysis refuses any other a
             "stable": r.stable,
-            "coverCells": list(r.cover_cells),
-            "coverChi": r.cover_chi,
-            "quotientChi": r.quotient_chi,
-            "type": list(r.type_signature),
-            "genusNote": r.genus_note,
+            "coverCells": [cover.vertices, cover.edges, cover.faces],
+            "coverChi": cover.chi,
+            "quotientChi": quotient_chi,
+            "type": list(cover.type_signature),
+            "genusNote": f"cover genus {Genus.of(cover.chi, 0, True).value}; " + (
+                "quotient has boundary" if r.boundary else
+                "quotient is closed non-orientable, "
+                f"crosscap {Genus.of(quotient_chi, 0, False).value}"
+            ),
         })
     if args.format == "json":
         print(json.dumps(rows, indent=2))

@@ -225,13 +225,23 @@ def two_coloring(fs: FlagSystem) -> list[int] | None:
 class Genus:
     """Tagged genus: orientable genus, crosscap number, or bordered genus.
 
-    For bordered surfaces ``value`` is derived from chi = 2 - 2g - b
-    (orientable) or chi = 2 - g - b (non-orientable).
+    ``Genus.of`` is the one place a genus or crosscap value is computed.
     """
 
     surface: str  # "orientable" | "nonorientable" | "bordered"
     value: int
     orientable: bool
+
+    @classmethod
+    def of(cls, chi: int, boundary: int, orientable: bool) -> "Genus":
+        """The genus of a surface with Euler characteristic ``chi`` and
+        ``boundary`` circuits, from chi = 2 - 2g - b (orientable) or
+        chi = 2 - g - b (non-orientable)."""
+        return cls(
+            "bordered" if boundary else "orientable" if orientable else "nonorientable",
+            (2 - chi - boundary) // 2 if orientable else 2 - chi - boundary,
+            orientable,
+        )
 
     def __str__(self) -> str:
         if self.surface == "orientable":
@@ -246,24 +256,39 @@ class Genus:
 class SurfaceInvariants:
     """What ``surface_invariants`` computes, each fact once:
     ``boundary_components`` is the number of boundary circuits, 0 exactly
-    when the surface is closed."""
+    when the surface is closed.  The values that follow from these are
+    properties: V and F are the lengths of ``vertex_degrees`` and
+    ``face_sizes``, the type is the lcm of each, and the genus is
+    ``Genus.of(chi, boundary_components, orientable)``."""
 
-    vertices: int
     edges: int
-    faces: int
     fixed_flags: tuple[int, int, int]
     boundary_components: int
     chi: int
     orientable: bool
-    genus: Genus
     face_sizes: tuple[int, ...]
     vertex_degrees: tuple[int, ...]
-    type_signature: tuple[int, int]
+
+    @property
+    def vertices(self) -> int:
+        return len(self.vertex_degrees)
+
+    @property
+    def faces(self) -> int:
+        return len(self.face_sizes)
+
+    @property
+    def type_signature(self) -> tuple[int, int]:
+        return (math.lcm(*self.face_sizes), math.lcm(*self.vertex_degrees))
+
+    @property
+    def genus(self) -> Genus:
+        return Genus.of(self.chi, self.boundary_components, self.orientable)
 
 
 def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
-    """Cell counts, Euler characteristic, orientability, boundary and type,
-    from one ``_pair_walk`` per dihedral pair.
+    """Cell counts, Euler characteristic, orientability, boundary, face
+    sizes and vertex degrees, from one ``_pair_walk`` per dihedral pair.
 
     chi is the cell count of the flag triangulation,
     (V+E+F) - (#orbits<g0> + #orbits<g1> + #orbits<g2>) + #flags, which
@@ -282,9 +307,8 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     incidences joins two components at each successful union, so
     circuits = paths - successful unions.
 
-    The type is the lcm of the face sizes and of the vertex degrees.  A
-    valid system has at least one flag, so each pair has an orbit and
-    both lists are non-empty.
+    A valid system has at least one flag, so each pair has an orbit and
+    both lists are non-empty: the type, their lcms, is defined.
     """
     fs.require_valid()
     g0, g1, g2 = fs.gens
@@ -292,11 +316,8 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
     degrees = _pair_walk(g1, g2, 1, 2, ends)
     e = len(_pair_walk(g0, g2, 0, 2, ends))
     sizes = _pair_walk(g0, g1, 0, 1, ends)
-    v, f = len(degrees), len(sizes)
     fixed = fixed_flag_counts(fs)
-    chi = (v + e + f) - (fs.flags + sum(fixed)) // 2
-
-    orientable = two_coloring(fs) is not None
+    chi = (len(degrees) + e + len(sizes)) - (fs.flags + sum(fixed)) // 2
 
     b = len(ends) // 2
     parent: dict[int, int] = {}
@@ -308,27 +329,14 @@ def surface_invariants(fs: FlagSystem) -> SurfaceInvariants:
         if x != y:
             parent[x] = y
             b -= 1
-    genus = Genus(
-        "bordered" if b else "orientable" if orientable else "nonorientable",
-        (2 - chi - b) // 2 if orientable else 2 - chi - b,
-        orientable,
-    )
-
-    face_sizes = tuple(sorted(sizes))
-    vertex_degrees = tuple(sorted(degrees))
-    type_signature = (math.lcm(*face_sizes), math.lcm(*vertex_degrees))
     return SurfaceInvariants(
-        vertices=v,
         edges=e,
-        faces=f,
         fixed_flags=fixed,
         boundary_components=b,
         chi=chi,
-        orientable=orientable,
-        genus=genus,
-        face_sizes=face_sizes,
-        vertex_degrees=vertex_degrees,
-        type_signature=type_signature,
+        orientable=two_coloring(fs) is not None,
+        face_sizes=tuple(sorted(sizes)),
+        vertex_degrees=tuple(sorted(degrees)),
     )
 
 

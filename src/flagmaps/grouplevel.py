@@ -18,6 +18,11 @@ flag level and refused with the same ``covers.NotOrientableClosedError``:
 on S_n from the parity of the generators, on an explicit group by
 ``covers.orientation_action``; an orientation-preserving a is refused
 with the flag level's ``covers.AlreadyOrientableClosedError``.
+
+A record stores what its function decides: ``RegularCells`` the group
+order, cell counts and type, with chi a property, and
+``QuotientAnalysis`` the involution, boundary, automorphism order and
+verdict, with the regular system's ``RegularCells`` as ``cover``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .families import (
     symmetric_generators,
 )
 from .perms import (
-    CycleType,
     Perm,
     check_perms,
     compose,
@@ -87,12 +91,18 @@ def symmetric_model(n: int, hypermap: bool = False) -> GroupModel:
 
 @dataclass(frozen=True)
 class RegularCells:
+    """Cell counts and type of a regular system on ``group_order`` = |G|
+    flags; chi = V + E + F - |G|/2 is a property (``regular_cells``)."""
+
     group_order: int
     vertices: int
     edges: int
     faces: int
-    chi: int
     type_signature: tuple[int, ...]
+
+    @property
+    def chi(self) -> int:
+        return self.vertices + self.edges + self.faces - self.group_order // 2
 
 
 def regular_cells(gm: GroupModel | GroupMap) -> RegularCells:
@@ -113,8 +123,6 @@ def regular_cells(gm: GroupModel | GroupMap) -> RegularCells:
     dv = 2 * perm_order(compose(r1, r2))
     de = 2 * perm_order(compose(r0, r2))
     df = 2 * perm_order(compose(r0, r1))
-    v, e, f = order // dv, order // de, order // df
-    chi = v + e + f - order // 2
     if gm.kind == MAP:
         type_signature = (perm_order(compose(r0, r1)),
                           perm_order(compose(r1, r2)))
@@ -124,36 +132,32 @@ def regular_cells(gm: GroupModel | GroupMap) -> RegularCells:
             perm_order(compose(r2, r0)),
             perm_order(compose(r0, r1)),
         )
-    return RegularCells(order, v, e, f, chi, type_signature)
+    return RegularCells(order, order // dv, order // de, order // df, type_signature)
 
 
 @dataclass(frozen=True)
 class QuotientAnalysis:
     """Quotient of a regular orientable-closed system by <a>, where a
-    reverses the orientation (``quotient_analysis`` refuses any other a).
+    reverses the orientation (``quotient_analysis`` refuses any other a),
+    so the quotient is non-orientable.
 
-    ``cover_cells``/``cover_chi`` describe the regular system itself;
+    ``cover`` holds the cells, chi and type of the regular system itself;
     the quotient has half its Euler characteristic, the same type when
-    boundary-free, and automorphism group C_G(a)/<a>.
+    boundary-free, and automorphism group C_G(a)/<a> of ``aut_order``.
     """
 
     a: Perm
-    a_cycle_type: CycleType
     boundary: bool
-    orientation_reversing: bool
     aut_order: int
     stable: bool
-    cover_cells: tuple[int, int, int]
-    cover_chi: int
-    quotient_chi: int
-    type_signature: tuple[int, ...]
-    genus_note: str
+    cover: RegularCells
 
 
 def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
-    """Boundary, orientability, automorphism order and stability of the
-    quotient of the regular system by a non-identity involution a in G,
-    which is all of S_n held symbolically or an explicit GroupMap.
+    """Boundary, automorphism order and stability of the quotient of the
+    regular system by a non-identity involution a in G, which is all of
+    S_n held symbolically or an explicit GroupMap, with the regular
+    system's ``regular_cells`` as ``cover``.
 
     Boundary appears iff a is conjugate to some generator; the quotient
     is non-orientable iff a lies outside the even-word subgroup; its
@@ -192,7 +196,6 @@ def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
     if not is_involution(a) or a == identity(len(a)):
         raise NotInvolutionError("a must be a non-identity involution")
 
-    ct = cycle_type(a)
     if explicit:
         h = gm.automorphism(a)
         reversing = orientation_action(gm.fs, h) == ORIENTATION_REVERSING
@@ -211,30 +214,11 @@ def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
         centralizer = sum(1 for g in gm.elements if compose(a, g) == compose(g, a))
         central = centralizer == gm.order
     else:
+        ct = cycle_type(a)
         boundary = any(ct == cycle_type(r) for r in gm.generators)
         centralizer = sym_centralizer_order(ct)
         central = len(a) <= 2
-
-    cells_ = regular_cells(gm)
-    quotient_chi = cells_.chi // 2
-    genus_note = f"cover genus {(2 - cells_.chi) // 2}; " + (
-        "quotient has boundary"
-        if boundary
-        else f"quotient is closed non-orientable, crosscap {2 - quotient_chi}"
-    )
-    return QuotientAnalysis(
-        a=a,
-        a_cycle_type=ct,
-        boundary=boundary,
-        orientation_reversing=True,
-        aut_order=centralizer // 2,
-        stable=central,
-        cover_cells=(cells_.vertices, cells_.edges, cells_.faces),
-        cover_chi=cells_.chi,
-        quotient_chi=quotient_chi,
-        type_signature=cells_.type_signature,
-        genus_note=genus_note,
-    )
+    return QuotientAnalysis(a, boundary, centralizer // 2, central, regular_cells(gm))
 
 
 def family_report(n: int, hypermap: bool = False) -> list[QuotientAnalysis]:

@@ -59,11 +59,23 @@ class SymmetryClass:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """What ``stability_report`` decides: the two orders and whether the
+    lifted base group was verified inside Aut cover.  The index and the
+    verdict follow from the orders, so they are properties."""
+
     base_aut_order: int
     cover_aut_order: int
-    instability_index: int
-    stable: bool
     lifted_subgroup_verified: bool
+
+    @property
+    def instability_index(self) -> int:
+        """|Aut cover| / (2 |Aut base|), exact when the lifted subgroup
+        is verified."""
+        return self.cover_aut_order // (2 * self.base_aut_order)
+
+    @property
+    def stable(self) -> bool:
+        return self.cover_aut_order == 2 * self.base_aut_order
 
 
 # The last system given to automorphism_group and its group.  The key is
@@ -170,11 +182,9 @@ def stability_report(fs: FlagSystem) -> StabilityReport:
         raise AlreadyOrientableClosedError("input is already orientable with empty boundary")
     plus = {order[x] for x in orbit_of(_search(tables, None, True)[1], [0])}
     cover_order = 2 * len(plus)
-    index, rest = divmod(cover_order, 2 * aut.order)
     return StabilityReport(
         base_aut_order=aut.order,
         cover_aut_order=cover_order,
-        instability_index=index,
-        stable=cover_order == 2 * aut.order,
-        lifted_subgroup_verified=rest == 0 and plus.issuperset(aut.images),
+        lifted_subgroup_verified=cover_order % (2 * aut.order) == 0
+        and plus.issuperset(aut.images),
     )

@@ -299,14 +299,25 @@ def test_cli_census(tmp_path, capsys):
 
 
 def test_cli_sym(capsys):
+    """The whole ``sym`` output at n = 11, byte for byte: the map table
+    as JSON and the hypermap table as CSV."""
+    want = [{
+        "a": "(1,2)(3,4)(5,6)", "m": 6, "autOrder": 2880, "boundary": False,
+        "orientationReversing": True, "stable": False,
+        "coverCells": [1814400, 9979200, 3326400], "coverChi": -4838400,
+        "quotientChi": -2419200, "type": [6, 11],
+        "genusNote": "cover genus 2419201; quotient is closed non-orientable, crosscap 2419202",
+    }]
     assert main(["sym", "--n", "11"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 1
-    assert rows[0]["autOrder"] == 2880
-    assert rows[0]["stable"] is False
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
     assert main(["sym", "--n", "11", "--hypermap", "--format", "csv"]) == 0
-    text = capsys.readouterr().out
-    assert text.splitlines()[0].startswith("a,")
+    assert capsys.readouterr().out == (
+        "a,m,autOrder,boundary,orientationReversing,stable,coverCells,coverChi,"
+        "quotientChi,type,genusNote\n"
+        "(1,2)(3,4)(5,6),6,2880,False,True,False,[1814400, 4989600, 4989600],"
+        "-8164800,-4082400,[11, 4, 4],"
+        "cover genus 4082401; quotient is closed non-orientable, crosscap 4082402\n"
+    )
 
 
 def test_cli_sym_rejects_n_above_the_bound_before_any_work(capsys):

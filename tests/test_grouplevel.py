@@ -8,7 +8,7 @@ import pytest
 
 import flagmaps
 from flagmaps import grouplevel
-from flagmaps.core import HYPERMAP, MAP, surface_invariants
+from flagmaps.core import HYPERMAP, MAP, Genus, surface_invariants
 from flagmaps.covers import (
     AlreadyOrientableClosedError,
     NotOrientableClosedError,
@@ -39,6 +39,7 @@ from flagmaps.grouplevel import (
 from flagmaps.perms import (
     NotAPermutationError,
     compose,
+    cycle_type,
     identity,
     is_involution,
     parity,
@@ -82,11 +83,10 @@ def test_quotient_analysis_n11():
     qa = quotient_analysis(gm, support_involution(6, 11))
     assert qa.aut_order == 2880
     assert not qa.boundary
-    assert qa.orientation_reversing
     assert not qa.stable
-    assert qa.quotient_chi == -2419200
-    assert qa.type_signature == (6, 11)
-    assert "crosscap" in qa.genus_note
+    assert qa.cover.chi // 2 == -2419200
+    assert qa.cover.type_signature == (6, 11)
+    assert str(Genus.of(qa.cover.chi // 2, 0, False)) == "crosscap 2419202"
 
 
 def test_quotient_analysis_boundary_when_type_matches():
@@ -133,7 +133,7 @@ def test_explicit_model_nn2():
     qa = quotient_analysis(gm4, a)
     assert qa.aut_order == 4
     assert not qa.stable
-    assert qa.orientation_reversing and not qa.boundary
+    assert not qa.boundary
 
 
 def test_explicit_model_central_involution_is_refused():
@@ -169,10 +169,13 @@ def test_explicit_model_agrees_with_the_flag_level_quotient():
                 preserving += 1
                 continue
             qa = quotient_analysis(gm, a)
-            assert qa.orientation_reversing
+            inv = surface_invariants(q)
             assert qa.aut_order == automorphism_group(q).order
-            assert qa.boundary == (surface_invariants(q).boundary_components > 0)
+            assert qa.boundary == (inv.boundary_components > 0)
             assert qa.stable == stability_report(q).stable
+            assert qa.cover.chi // 2 == inv.chi
+            if not qa.boundary:
+                assert Genus.of(qa.cover.chi // 2, 0, False) == inv.genus
             reversing += 1
     assert (reversing, preserving) == (56, 27)
 
@@ -205,7 +208,7 @@ def test_nn2_quotient_law_at_both_levels():
         a = compose(*gm.generators)
         qa = quotient_analysis(gm, a)
         assert qa.aut_order == 4
-        assert not qa.boundary and qa.orientation_reversing
+        assert not qa.boundary
         assert qa.stable == (m == 1)
         rep = stability_report(quotient_by(gm.fs, [gm.automorphism(a)]))
         assert (rep.base_aut_order, rep.cover_aut_order, rep.instability_index) == (4, 8 * m, m)
@@ -290,7 +293,7 @@ def test_family_report_n15():
     assert len(reports) == 2
     assert [r.aut_order for r in reports] == [8709120, 230400]
     assert all(not r.stable and not r.boundary for r in reports)
-    types = {r.a_cycle_type for r in reports}
+    types = {cycle_type(r.a) for r in reports}
     assert len(types) == 2  # pairwise non-isomorphic quotients
 
 
@@ -303,7 +306,7 @@ def test_family_report_bad_n():
 def test_family_report_hypermap():
     reports = family_report(11, hypermap=True)
     assert len(reports) == 1
-    assert reports[0].type_signature == (11, 4, 4)
+    assert reports[0].cover.type_signature == (11, 4, 4)
     assert not reports[0].stable
 
 
