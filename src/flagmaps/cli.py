@@ -198,7 +198,6 @@ def _sym(args: argparse.Namespace) -> int:
             "m": sum(x != i for i, x in enumerate(r.a)),  # the points a moves
             "autOrder": r.aut_order,
             "boundary": r.boundary,
-            "orientationReversing": True,  # quotient_analysis refuses any other a
             "stable": r.stable,
             "coverCells": [cover.vertices, cover.edges, cover.faces],
             "coverChi": cover.chi,

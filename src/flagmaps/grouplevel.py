@@ -21,8 +21,9 @@ with the flag level's ``covers.AlreadyOrientableClosedError``.
 
 A record stores what its function decides: ``RegularCells`` the group
 order, cell counts and type, with chi a property, and
-``QuotientAnalysis`` the involution, boundary, automorphism order and
-verdict, with the regular system's ``RegularCells`` as ``cover``.
+``QuotientAnalysis`` the involution, boundary and automorphism order,
+with the regular system's ``RegularCells`` as ``cover`` and the verdict
+a property.
 """
 
 from __future__ import annotations
@@ -149,8 +150,13 @@ class QuotientAnalysis:
     a: Perm
     boundary: bool
     aut_order: int
-    stable: bool
     cover: RegularCells
+
+    @property
+    def stable(self) -> bool:
+        """Stable iff a is central, that is iff |C_G(a)| = 2 ``aut_order``
+        is all of |G| = ``cover.group_order``."""
+        return 2 * self.aut_order == self.cover.group_order
 
 
 def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
@@ -212,13 +218,11 @@ def quotient_analysis(gm: GroupModel | GroupMap, a: Perm) -> QuotientAnalysis:
     if explicit:
         boundary = any(x == y for g in gm.fs.gens for x, y in zip(g, h))
         centralizer = sum(1 for g in gm.elements if compose(a, g) == compose(g, a))
-        central = centralizer == gm.order
     else:
         ct = cycle_type(a)
         boundary = any(ct == cycle_type(r) for r in gm.generators)
         centralizer = sym_centralizer_order(ct)
-        central = len(a) <= 2
-    return QuotientAnalysis(a, boundary, centralizer // 2, central, regular_cells(gm))
+    return QuotientAnalysis(a, boundary, centralizer // 2, regular_cells(gm))
 
 
 def family_report(n: int, hypermap: bool = False) -> list[QuotientAnalysis]:

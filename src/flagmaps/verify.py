@@ -2,6 +2,16 @@
 
 Each check returns a CheckResult; ``run_all`` executes all ten and the
 CLI prints one pass/fail line per check.
+
+Criteria 08, 09 and 10 read the census as folds: an object whose
+``add(record)`` takes one census record and whose ``result()`` gives the
+check's outcome, so a law needs no store of earlier records.  Criterion
+09 has one fold per kind.  ``run_all`` reads each census once, as the
+stream ``stability_census`` yields, and gives every record to each fold
+of its kind: the map census to criteria 08, 09 and 10, the hypermap
+census to criterion 09.  No census is held in memory.
+``check_medial``, ``check_census_laws`` and ``check_round_trips`` run
+the same folds over any iterable of records.
 """
 
 from __future__ import annotations
@@ -267,61 +277,63 @@ def check_symmetric_hypermaps() -> CheckResult:
     return e.result("symmetric-hypermap-family")
 
 
-def check_medial(map_census: list[CensusRecord]) -> CheckResult:
-    """Medial automorphism doubling and the medial count identities."""
-    e = _Expect()
-    base = nn2_map(2).fs
-    med = medial(base)
-    med_order = automorphism_group(med).order
-    e.eq("|Aut medial({4,4}_2)|", med_order, 32)
-    e.eq(
-        "medial doubles the automorphism group",
-        med_order,
-        2 * automorphism_group(base).order,
-    )
-    # A medial edge is a corner (a g1-orbit), so E* = flags/2 = 2E - s
-    # where s counts the free edges (edge cells of two flags, g0 = g2);
-    # each free edge gives a 2-valent medial vertex.
-    identities = (
-        "V* = E",
-        "E* = flags/2",
-        "E* = 2E - s",
-        "E* = 2E without free edges",
-        "F* = V+F",
-        "chi* = chi",
-    )
-    violations = dict.fromkeys(identities, 0)
-    with_free = without_free = 0
-    for rec in map_census:
+def _feed(records: Iterable[CensusRecord], *folds) -> list:
+    """Give each record, in one pass, to every fold, and return the folds'
+    results in their order."""
+    for rec in records:
+        for fold in folds:
+            fold.add(rec)
+    return [fold.result() for fold in folds]
+
+
+class _Medial:
+    """Criterion 08 as a fold: the medial count identities on each closed
+    map added, and the medial's automorphism doubling on {4,4}_2."""
+
+    def __init__(self) -> None:
+        self.violations: dict[str, int] = {}  # by identity, in their order
+        self.free_seen: set[bool] = set()  # free > 0 of each closed map added
+
+    def add(self, rec: CensusRecord) -> None:
         inv = rec.invariants
         if inv.boundary_components:
-            continue
+            return
         fs = rec.fs
         # g0 f = g2 f makes {f, g0 f} a whole <g0, g2> orbit: a free edge
         # of two flags, both counted here (a closed map fixes no flag)
         free = sum(a == b for a, b in zip(fs.g0, fs.g2)) // 2
-        if free:
-            with_free += 1
-        else:
-            without_free += 1
+        self.free_seen.add(free > 0)
         m_inv = surface_invariants(medial(fs))
-        holds = (
-            m_inv.vertices == inv.edges,
-            2 * m_inv.edges == fs.flags,
-            m_inv.edges == 2 * inv.edges - free,
-            free > 0 or m_inv.edges == 2 * inv.edges,
-            m_inv.faces == inv.vertices + inv.faces,
-            m_inv.chi == inv.chi,
-        )
-        for label, ok in zip(identities, holds):
-            violations[label] += not ok
-    e.true(
-        "closed census maps both with and without free edges",
-        with_free > 0 and without_free > 0,
-    )
-    for label in identities:
-        e.eq(f"medial {label} violations on closed census maps", violations[label], 0)
-    return e.result("medial-maps")
+        # A medial edge is a corner (a g1-orbit), so E* = flags/2 = 2E - s
+        # where s counts the free edges (edge cells of two flags, g0 = g2);
+        # each free edge gives a 2-valent medial vertex.
+        holds = {
+            "V* = E": m_inv.vertices == inv.edges,
+            "E* = flags/2": 2 * m_inv.edges == fs.flags,
+            "E* = 2E - s": m_inv.edges == 2 * inv.edges - free,
+            "E* = 2E without free edges": free > 0 or m_inv.edges == 2 * inv.edges,
+            "F* = V+F": m_inv.faces == inv.vertices + inv.faces,
+            "chi* = chi": m_inv.chi == inv.chi,
+        }
+        for label, ok in holds.items():
+            self.violations[label] = self.violations.get(label, 0) + (not ok)
+
+    def result(self) -> CheckResult:
+        e = _Expect()
+        base = nn2_map(2).fs
+        med_order = automorphism_group(medial(base)).order
+        doubled = 2 * automorphism_group(base).order
+        e.eq("|Aut medial({4,4}_2)|", med_order, 32)
+        e.eq("medial doubles the automorphism group", med_order, doubled)
+        e.true("closed census maps both with and without free edges", len(self.free_seen) == 2)
+        for label, count in self.violations.items():
+            e.eq(f"medial {label} violations on closed census maps", count, 0)
+        return e.result("medial-maps")
+
+
+def check_medial(map_census: Iterable[CensusRecord]) -> CheckResult:
+    """Medial automorphism doubling and the medial count identities."""
+    return _feed(map_census, _Medial())[0]
 
 
 def _involutions(n: int) -> list[tuple[int, ...]]:
@@ -393,13 +405,9 @@ def _cycle_count(a: Perm, b: Perm) -> int:
     return count
 
 
-def check_census_laws(
-    map_census: Iterable[CensusRecord],
-    hypermap_census: Iterable[CensusRecord],
-    oracle_max: int = 6,
-) -> CheckResult:
-    """Structural laws over the two censuses, plus the oracle count check,
-    in one pass over each census, so either may be a lazy iterator.
+class _CensusLaws:
+    """Criterion 09 as a fold over the census of one kind: structural
+    laws on each record added, plus the oracle count check.
 
     The cover law compares chi(cover) with 2 chi(base) without building
     the cover.  The cover has flags (f, s) and generators (f, s) ->
@@ -413,74 +421,97 @@ def check_census_laws(
     c(g0 g1) + c(g1 g2) + c(g0 g2) - n.  The base side comes from the
     pair walks and fixed counts instead.
     """
-    e = _Expect()
-    for kind, records in ((MAP, map_census), (HYPERMAP, hypermap_census)):
-        regular_unstable = 0
-        bad_ratio = 0
-        bad_chi = 0
-        unverified = 0
-        census_counts: dict[int, int] = {}
-        for rec in records:
-            if rec.fs.flags <= oracle_max:
-                census_counts[rec.fs.flags] = census_counts.get(rec.fs.flags, 0) + 1
-            if (rep := rec.stability) is None:
-                continue
-            unverified += not rep.lifted_subgroup_verified
-            if rec.symmetry.regular and not rep.stable:
-                regular_unstable += 1
-            if kind == MAP and rec.symmetry.edge_transitive:
-                # the {2,4,8} bound comes from the order-4 edge stabilizer
-                # of maps; hypermap edge stabilizers are unbounded and the
-                # ratio law fails there (one-edge hypermaps already break it)
-                ratio, rest = divmod(rep.cover_aut_order, rec.aut.order)
-                if rest or ratio not in (2, 4, 8):
-                    bad_ratio += 1
-            g0, g1, g2 = rec.fs.gens
-            cells = _cycle_count(g0, g1) + _cycle_count(g1, g2) + _cycle_count(g0, g2)
-            bad_chi += cells - rec.fs.flags != 2 * rec.invariants.chi
-        e.eq(f"lifted subgroup not verified ({kind})", unverified, 0)
-        e.eq(f"regular-but-unstable count ({kind})", regular_unstable, 0)
-        if kind == MAP:
-            e.eq("edge-transitive ratio violations (map)", bad_ratio, 0)
-        e.eq(f"cover chi != 2 * base chi count ({kind})", bad_chi, 0)
-        e.eq(
-            f"class counts vs brute-force oracle ({kind})",
-            census_counts,
-            naive_class_counts(oracle_max, kind),
-        )
-    return e.result("census-laws")
+
+    def __init__(self, kind: str, oracle_max: int) -> None:
+        self.kind = kind
+        self.oracle_max = oracle_max
+        self.unverified = self.regular_unstable = self.bad_ratio = self.bad_chi = 0
+        self.counts: dict[int, int] = {}
+
+    def add(self, rec: CensusRecord) -> None:
+        flags = rec.fs.flags
+        if flags <= self.oracle_max:
+            self.counts[flags] = self.counts.get(flags, 0) + 1
+        if (rep := rec.stability) is None:
+            return
+        self.unverified += not rep.lifted_subgroup_verified
+        self.regular_unstable += rec.symmetry.regular and not rep.stable
+        if self.kind == MAP and rec.symmetry.edge_transitive:
+            # the {2,4,8} bound comes from the order-4 edge stabilizer
+            # of maps; hypermap edge stabilizers are unbounded and the
+            # ratio law fails there (one-edge hypermaps already break it)
+            ratio, rest = divmod(rep.cover_aut_order, rec.aut.order)
+            self.bad_ratio += bool(rest) or ratio not in (2, 4, 8)
+        g0, g1, g2 = rec.fs.gens
+        cells = _cycle_count(g0, g1) + _cycle_count(g1, g2) + _cycle_count(g0, g2)
+        self.bad_chi += cells - flags != 2 * rec.invariants.chi
+
+    def result(self) -> list[str]:
+        """The failed sub-checks for this kind."""
+        e = _Expect()
+        e.eq(f"lifted subgroup not verified ({self.kind})", self.unverified, 0)
+        e.eq(f"regular-but-unstable count ({self.kind})", self.regular_unstable, 0)
+        if self.kind == MAP:
+            e.eq("edge-transitive ratio violations (map)", self.bad_ratio, 0)
+        e.eq(f"cover chi != 2 * base chi count ({self.kind})", self.bad_chi, 0)
+        oracle = naive_class_counts(self.oracle_max, self.kind)
+        e.eq(f"class counts vs brute-force oracle ({self.kind})", self.counts, oracle)
+        return e.failures
 
 
-def check_round_trips(map_census: list[CensusRecord]) -> CheckResult:
-    """Cover/quotient round trip, file round trip, canonical invariance."""
-    e = _Expect()
-    bad_round = 0
-    for rec in map_census:
-        if rec.stability is None:
-            continue
-        if not cover_round_trip_ok(rec.fs):
-            bad_round += 1
-    e.eq("cover/quotient round-trip failures", bad_round, 0)
+def check_census_laws(
+    map_census: Iterable[CensusRecord],
+    hypermap_census: Iterable[CensusRecord],
+    oracle_max: int = 6,
+) -> CheckResult:
+    """Structural laws over the two censuses, plus the oracle count check,
+    in one pass over each census, so either may be a lazy iterator."""
+    (maps,) = _feed(map_census, _CensusLaws(MAP, oracle_max))
+    (hypermaps,) = _feed(hypermap_census, _CensusLaws(HYPERMAP, oracle_max))
+    return CheckResult("census-laws", maps + hypermaps)
 
-    sample = [rec.fs for rec in map_census if rec.fs.flags >= 4][:20]
-    e.true("at least 20 sample maps", len(sample) >= 20)
-    for fs in sample:
-        if parse(serialize(fs)) != fs:
-            e.true(f"serialize/parse identity on {fs.flags}-flag map", False)
-            break
 
-    rng = random.Random(20260810)
-    bad_canon = 0
-    for fs in sample:
-        code = canonical_form(fs)
-        for _ in range(100):
-            perm = list(range(fs.flags))
-            rng.shuffle(perm)
-            if canonical_form(relabel(fs, tuple(perm))) != code:
-                bad_canon += 1
+class _RoundTrips:
+    """Criterion 10 as a fold: the cover/quotient round trip on each map
+    with a stability verdict, and the file round trip and canonical
+    invariance on a sample, the first 20 maps of at least 4 flags."""
+
+    def __init__(self) -> None:
+        self.bad_round = 0
+        self.sample: list[FlagSystem] = []
+
+    def add(self, rec: CensusRecord) -> None:
+        if rec.stability is not None:
+            self.bad_round += not cover_round_trip_ok(rec.fs)
+        if rec.fs.flags >= 4 and len(self.sample) < 20:
+            self.sample.append(rec.fs)
+
+    def result(self) -> CheckResult:
+        e = _Expect()
+        e.eq("cover/quotient round-trip failures", self.bad_round, 0)
+        e.true("at least 20 sample maps", len(self.sample) >= 20)
+        for fs in self.sample:
+            if parse(serialize(fs)) != fs:
+                e.true(f"serialize/parse identity on {fs.flags}-flag map", False)
                 break
-    e.eq("canonical form relabeling failures", bad_canon, 0)
-    return e.result("round-trips")
+
+        rng = random.Random(20260810)
+        bad_canon = 0
+        for fs in self.sample:
+            code = canonical_form(fs)
+            for _ in range(100):
+                perm = list(range(fs.flags))
+                rng.shuffle(perm)
+                if canonical_form(relabel(fs, tuple(perm))) != code:
+                    bad_canon += 1
+                    break
+        e.eq("canonical form relabeling failures", bad_canon, 0)
+        return e.result("round-trips")
+
+
+def check_round_trips(map_census: Iterable[CensusRecord]) -> CheckResult:
+    """Cover/quotient round trip, file round trip, canonical invariance."""
+    return _feed(map_census, _RoundTrips())[0]
 
 
 MAP_CENSUS_FLAGS = 12
@@ -490,8 +521,13 @@ HYPERMAP_CENSUS_FLAGS = 10
 def run_all(quick: bool = False) -> list[CheckResult]:
     map_flags = 8 if quick else MAP_CENSUS_FLAGS
     hyper_flags = 7 if quick else HYPERMAP_CENSUS_FLAGS
-    map_census = list(stability_census(map_flags, MAP))  # criteria 08-10 all read it
-    hypermap_census = stability_census(hyper_flags, HYPERMAP)  # read once, by criterion 09
+    oracle_max = 4 if quick else 6
+    medial_maps, maps, round_trips = _feed(
+        stability_census(map_flags, MAP), _Medial(), _CensusLaws(MAP, oracle_max), _RoundTrips()
+    )
+    (hypermaps,) = _feed(
+        stability_census(hyper_flags, HYPERMAP), _CensusLaws(HYPERMAP, oracle_max)
+    )
     return [
         check_spherical_quotients(),
         check_klein_bottle_quotient(),
@@ -500,7 +536,7 @@ def run_all(quick: bool = False) -> list[CheckResult]:
         check_symmetric_group_level(),
         check_flag_group_agreement(),
         check_symmetric_hypermaps(),
-        check_medial(map_census),
-        check_census_laws(map_census, hypermap_census, oracle_max=6 if not quick else 4),
-        check_round_trips(map_census),
+        medial_maps,
+        CheckResult("census-laws", maps + hypermaps),
+        round_trips,
     ]

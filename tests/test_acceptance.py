@@ -1,8 +1,12 @@
 """Acceptance suite: one test per verification criterion.
 
 Each test prints its pass/fail line (visible with pytest -s) and asserts
-the criterion with the failing sub-checks in the message.
+the criterion with the failing sub-checks in the message.  A last test
+checks that the three census criteria read their input once, so that
+``run_all`` may give them one stream.
 """
+
+import pytest
 
 from flagmaps import verify
 
@@ -50,3 +54,19 @@ def test_criterion_09_census_laws(map_census_12, hypermap_census_10):
 
 def test_criterion_10_round_trips(map_census_12):
     _run(verify.check_round_trips(map_census_12))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda maps, hypermaps: verify.check_medial(maps),
+        lambda maps, hypermaps: verify.check_census_laws(maps, hypermaps, oracle_max=4),
+        lambda maps, hypermaps: verify.check_round_trips(maps),
+    ],
+    ids=["medial", "census-laws", "round-trips"],
+)
+def test_census_checks_read_a_one_shot_stream(check, map_census_8, hypermap_census_7):
+    from_lists = check(map_census_8, hypermap_census_7)
+    from_streams = check((r for r in map_census_8), (r for r in hypermap_census_7))
+    assert from_lists.ok, from_lists.details
+    assert from_streams == from_lists

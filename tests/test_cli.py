@@ -5,8 +5,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagmaps import verify
+from flagmaps.census import stability_census
 from flagmaps.cli import main
-from flagmaps.core import FlagSystem, surface_invariants
+from flagmaps.core import HYPERMAP, MAP, FlagSystem, surface_invariants
 from flagmaps.covers import quotient_by
 from flagmaps.errors import FlagmapsError
 from flagmaps.families import (
@@ -302,8 +304,7 @@ def test_cli_sym(capsys):
     """The whole ``sym`` output at n = 11, byte for byte: the map table
     as JSON and the hypermap table as CSV."""
     want = [{
-        "a": "(1,2)(3,4)(5,6)", "m": 6, "autOrder": 2880, "boundary": False,
-        "orientationReversing": True, "stable": False,
+        "a": "(1,2)(3,4)(5,6)", "m": 6, "autOrder": 2880, "boundary": False, "stable": False,
         "coverCells": [1814400, 9979200, 3326400], "coverChi": -4838400,
         "quotientChi": -2419200, "type": [6, 11],
         "genusNote": "cover genus 2419201; quotient is closed non-orientable, crosscap 2419202",
@@ -312,9 +313,9 @@ def test_cli_sym(capsys):
     assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
     assert main(["sym", "--n", "11", "--hypermap", "--format", "csv"]) == 0
     assert capsys.readouterr().out == (
-        "a,m,autOrder,boundary,orientationReversing,stable,coverCells,coverChi,"
+        "a,m,autOrder,boundary,stable,coverCells,coverChi,"
         "quotientChi,type,genusNote\n"
-        "(1,2)(3,4)(5,6),6,2880,False,True,False,[1814400, 4989600, 4989600],"
+        "(1,2)(3,4)(5,6),6,2880,False,False,[1814400, 4989600, 4989600],"
         "-8164800,-4082400,[11, 4, 4],"
         "cover genus 4082401; quotient is closed non-orientable, crosscap 4082402\n"
     )
@@ -366,9 +367,27 @@ def test_cli_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_cli_verify_paper_quick_passes(capsys):
-    # the README's contract: verify-paper exits 0 iff every check passes
+def test_cli_verify_paper_quick_passes(capsys, monkeypatch):
+    # the README's contract: verify-paper exits 0 iff every check passes;
+    # run_all reads the census of each kind once, for all its criteria
+    kinds = []
+
+    def counted_census(max_flags, kind):
+        kinds.append(kind)
+        return stability_census(max_flags, kind)
+
+    monkeypatch.setattr(verify, "stability_census", counted_census)
     assert main(["verify-paper", "--quick"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
-    assert all(line.startswith("[PASS] ") for line in lines)
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] spherical-quotients",
+        "[PASS] klein-bottle-quotient",
+        "[PASS] torus-glide-series",
+        "[PASS] zigzag-self-dual-family",
+        "[PASS] symmetric-family-group-level",
+        "[PASS] flag-group-agreement",
+        "[PASS] symmetric-hypermap-family",
+        "[PASS] medial-maps",
+        "[PASS] census-laws",
+        "[PASS] round-trips",
+    ]
+    assert sorted(kinds) == [HYPERMAP, MAP]

@@ -31,7 +31,7 @@ def test_each_record_stores_only_what_its_function_decides():
                             "orientable", "face_sizes", "vertex_degrees"),
         StabilityReport: ("base_aut_order", "cover_aut_order", "lifted_subgroup_verified"),
         RegularCells: ("group_order", "vertices", "edges", "faces", "type_signature"),
-        QuotientAnalysis: ("a", "boundary", "aut_order", "stable", "cover"),
+        QuotientAnalysis: ("a", "boundary", "aut_order", "cover"),
         CheckResult: ("name", "details"),
     }
     for cls, names in stored.items():
