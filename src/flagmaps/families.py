@@ -25,6 +25,7 @@ Encodings:
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .core import MAP, HYPERMAP, FlagSystem, InvalidFlagSystemError, Violation, _search, _valid
@@ -131,34 +132,17 @@ DIAG = "diag"
 RECT = "rect"
 
 
-def _torus_vertices(lattice: str, m: int) -> tuple[list[tuple[int, int]], dict]:
-    """Representative coordinates and key->id map for the lattice quotient."""
-    reps: list[tuple[int, int]] = []
-    ids: dict[tuple[int, int], int] = {}
+def _torus_flag(lattice: str, m: int, x: int, y: int, d: int, s: int) -> int:
+    """The torus_44 flag at vertex (x, y), taken mod the lattice, dart
+    ``d`` (mod 4), side ``s``.
+
+    diag: the pair (x+y mod 4m, x-y mod 4m), whose sum is even, classifies
+    the vertex, and its 8m^2 values are numbered row by row, 2m to a row;
+    rect: (x mod 2m, y mod 2m), numbered the same way."""
     if lattice == DIAG:
-        # lattice generated by (2m,2m) and (-2m,2m); the pair
-        # (x+y mod 4m, x-y mod 4m) with even sum classifies vertices
-        for u in range(4 * m):
-            for w in range(4 * m):
-                if (u + w) % 2 == 0:
-                    ids[(u, w)] = len(reps)
-                    reps.append(((u + w) // 2, (u - w) // 2))
+        vid = (x + y) % (4 * m) * 2 * m + (x - y) % (4 * m) // 2
     else:
-        for x in range(2 * m):
-            for y in range(2 * m):
-                ids[(x, y)] = len(reps)
-                reps.append((x, y))
-    return reps, ids
-
-
-def _torus_key(lattice: str, m: int, x: int, y: int) -> tuple[int, int]:
-    if lattice == DIAG:
-        return ((x + y) % (4 * m), (x - y) % (4 * m))
-    return (x % (2 * m), y % (2 * m))
-
-
-def _torus_flag(vid: int, d: int, s: int) -> int:
-    """The torus_44 flag at vertex ``vid``, dart ``d`` (mod 4), side ``s``."""
+        vid = x % (2 * m) * 2 * m + y % (2 * m)
     return (vid * 4 + d % 4) * 2 + s
 
 
@@ -168,24 +152,27 @@ def torus_44(lattice: str, m: int) -> FlagSystem:
     ``diag`` quotients by the lattice <(2m,2m),(-2m,2m)> (8m^2 vertices,
     64m^2 flags); ``rect`` by <(2m,0),(0,2m)> (4m^2 vertices, 32m^2
     flags).  Both are orientable, boundary-free and regular of type {4,4}.
+
+    The box 0 <= x < w, 0 <= y < 2m, with w = 4m (diag) or 2m (rect),
+    holds one vertex of each class: it has as many points as the lattice
+    has classes, and no lattice vector but 0 has |x| < w and |y| < 2m.
     """
     if lattice not in (DIAG, RECT):
         raise BadFamilyParameterError(f"unknown lattice kind {lattice!r}")
     if m < 1:
         raise BadFamilyParameterError("torus_44 needs m >= 1")
-    reps, ids = _torus_vertices(lattice, m)
-    size = len(reps) * 8
+    width = 4 * m if lattice == DIAG else 2 * m
+    size = width * 2 * m * 8
     g0, g1, g2 = [0] * size, [0] * size, [0] * size
-    for vid, (x, y) in enumerate(reps):
-        for d in range(4):
-            dx, dy = _DART_VEC[d]
-            other = ids[_torus_key(lattice, m, x + dx, y + dy)]
-            for s in range(2):
-                f = _torus_flag(vid, d, s)
-                g2[f] = _torus_flag(vid, d, 1 - s)
-                g1[f] = (_torus_flag(vid, d + 1, 1) if s == 0
-                         else _torus_flag(vid, d - 1, 0))
-                g0[f] = _torus_flag(other, d + 2, 1 - s)
+    at = functools.partial(_torus_flag, lattice, m)
+    for x in range(width):
+        for y in range(2 * m):
+            for d, (dx, dy) in enumerate(_DART_VEC):
+                for s in range(2):
+                    f = at(x, y, d, s)
+                    g2[f] = at(x, y, d, 1 - s)
+                    g1[f] = at(x, y, d + 1, 1) if s == 0 else at(x, y, d - 1, 0)
+                    g0[f] = at(x + dx, y + dy, d + 2, 1 - s)
     return FlagSystem(MAP, size, tuple(g0), tuple(g1), tuple(g2))
 
 
@@ -206,10 +193,8 @@ def glide_automorphism(fs: FlagSystem) -> Perm:
             continue
         if fs != torus_44(lattice, m):
             continue
-        vertex, dart = ((m, m), 1) if lattice == DIAG else ((m, 0), 0)
-        _, ids = _torus_vertices(lattice, m)
-        image = _torus_flag(ids[_torus_key(lattice, m, *vertex)], dart, 1)
-        return _automorphism_from(fs, image)
+        x, y, dart = (m, m, 1) if lattice == DIAG else (m, 0, 0)
+        return _automorphism_from(fs, _torus_flag(lattice, m, x, y, dart, 1))
     raise UnsupportedFamilyError("glide_automorphism only applies to torus_44 output")
 
 

@@ -10,8 +10,6 @@ check's outcome, so a law needs no store of earlier records.  Criterion
 stream ``stability_census`` yields, and gives every record to each fold
 of its kind: the map census to criteria 08, 09 and 10, the hypermap
 census to criterion 09.  No census is held in memory.
-``check_medial``, ``check_census_laws`` and ``check_round_trips`` run
-the same folds over any iterable of records.
 """
 
 from __future__ import annotations
@@ -58,6 +56,9 @@ from .symmetry import automorphism_group, stability_report
 
 @dataclass
 class CheckResult:
+    """One criterion's outcome: ``eq`` and ``true`` record each failed
+    sub-check in ``details`` as the criterion runs."""
+
     name: str
     details: list[str] = field(default_factory=list)  # the failed sub-checks
 
@@ -70,26 +71,18 @@ class CheckResult:
         suffix = "" if self.ok else " :: " + "; ".join(self.details)
         return f"[{status}] {self.name}{suffix}"
 
-
-class _Expect:
-    def __init__(self) -> None:
-        self.failures: list[str] = []
-
     def eq(self, label: str, got, want) -> None:
         if got != want:
-            self.failures.append(f"{label}: got {got!r}, want {want!r}")
+            self.details.append(f"{label}: got {got!r}, want {want!r}")
 
     def true(self, label: str, cond: bool) -> None:
         if not cond:
-            self.failures.append(label)
-
-    def result(self, name: str) -> CheckResult:
-        return CheckResult(name, self.failures)
+            self.details.append(label)
 
 
 def check_spherical_quotients() -> CheckResult:
     """Hosohedra and semi-stars with their disc quotients."""
-    e = _Expect()
+    e = CheckResult("spherical-quotients")
     for n, disc_aut, star_aut in ((5, 2, 1), (6, 4, 2)):
         k = hosohedron(n)
         e.eq(f"|Aut {{2,{n}}}|", automorphism_group(k).order, 4 * n)
@@ -111,12 +104,12 @@ def check_spherical_quotients() -> CheckResult:
             f"semi-star quotient cover is the semi-star (n={n})",
             is_isomorphic(orientable_double_cover(qs), s),
         )
-    return e.result("spherical-quotients")
+    return e
 
 
 def check_klein_bottle_quotient() -> CheckResult:
     """The diagonal torus map and its Klein-bottle glide quotient."""
-    e = _Expect()
+    e = CheckResult("klein-bottle-quotient")
     k = torus_44("diag", 1)
     e.eq("{4,4}_{2,2} flags", k.flags, 64)
     e.eq("|Aut {4,4}_{2,2}|", automorphism_group(k).order, 64)
@@ -132,7 +125,7 @@ def check_klein_bottle_quotient() -> CheckResult:
     e.true("quotient not regular", not rec.symmetry.regular)
     e.eq("cover aut = 8 * base aut", rec.stability.cover_aut_order, 8 * rec.aut.order)
     e.eq("instability index", rec.stability.instability_index, 4)
-    return e.result("klein-bottle-quotient")
+    return e
 
 
 def check_torus_glide_series() -> CheckResult:
@@ -154,7 +147,7 @@ def check_torus_glide_series() -> CheckResult:
     reaches at most 8m of the 8m^2 edges of Q: only the m=1 quotient
     (criterion 02) is edge-transitive.
     """
-    e = _Expect()
+    e = CheckResult("torus-glide-series")
     kd = torus_44("diag", 2)
     glide = glide_automorphism(kd)
     torus_aut = automorphism_group(kd)
@@ -172,13 +165,13 @@ def check_torus_glide_series() -> CheckResult:
     qr = analyze(quotient_by(kr, [glide_automorphism(kr)]))
     e.true("rect(2) quotient unstable", not qr.stability.stable)
     e.true("rect(2) quotient not edge-transitive", not qr.symmetry.edge_transitive)
-    return e.result("torus-glide-series")
+    return e
 
 
 def check_zigzag_family() -> CheckResult:
     """{n,n}_2 via zig-zag duality vs the group construction, and its
     closed non-orientable quotient."""
-    e = _Expect()
+    e = CheckResult("zigzag-self-dual-family")
     for m in (2, 3, 4):
         n = 2 * m
         gm = nn2_map(m)
@@ -199,12 +192,12 @@ def check_zigzag_family() -> CheckResult:
         e.eq(f"cover aut order (m={m})", rep.cover_aut_order, 8 * m)
         e.eq(f"instability index (m={m})", rep.instability_index, m)
         e.true(f"quotient unstable (m={m})", not rep.stable)
-    return e.result("zigzag-self-dual-family")
+    return e
 
 
 def check_symmetric_group_level() -> CheckResult:
     """Symmetric-group family, analysed entirely at the group level."""
-    e = _Expect()
+    e = CheckResult("symmetric-family-group-level")
     gm = symmetric_model(11)
     n_cycle = tuple((i + 1) % 11 for i in range(11))
     e.eq("r1*r2 is the 11-cycle", compose(gm.r1, gm.r2), n_cycle)
@@ -229,12 +222,12 @@ def check_symmetric_group_level() -> CheckResult:
         "n=15 quotients non-isomorphic (distinct involution cycle types)",
         len({cycle_type(x.a) for x in reports15}) == 2,
     )
-    return e.result("symmetric-family-group-level")
+    return e
 
 
 def check_flag_group_agreement() -> CheckResult:
     """n=7: the 5040-flag system and the group model agree exactly."""
-    e = _Expect()
+    e = CheckResult("flag-group-agreement")
     gm5 = symmetric_map(5)
     e.eq("spot check |Aut| at 120 flags", automorphism_group(gm5.fs).order, 120)
     inv5 = surface_invariants(gm5.fs)
@@ -262,19 +255,19 @@ def check_flag_group_agreement() -> CheckResult:
         qa.boundary,
     )
     e.eq("|Aut| of the 5040-flag system", automorphism_group(gm7.fs).order, 5040)
-    return e.result("flag-group-agreement")
+    return e
 
 
 def check_symmetric_hypermaps() -> CheckResult:
     """Hypermap variant of the symmetric-group family (n=11)."""
-    e = _Expect()
+    e = CheckResult("symmetric-hypermap-family")
     gm = symmetric_model(11, hypermap=True)
     rc = regular_cells(gm)
     e.eq("hypermap type", rc.type_signature, (11, 4, 4))
     reports = family_report(11, hypermap=True)
     e.eq("number of hypermap quotients", len(reports), 1)
     e.true("hypermap quotient unstable", not reports[0].stable)
-    return e.result("symmetric-hypermap-family")
+    return e
 
 
 def _feed(records: Iterable[CensusRecord], *folds) -> list:
@@ -319,7 +312,7 @@ class _Medial:
             self.violations[label] = self.violations.get(label, 0) + (not ok)
 
     def result(self) -> CheckResult:
-        e = _Expect()
+        e = CheckResult("medial-maps")
         base = nn2_map(2).fs
         med_order = automorphism_group(medial(base)).order
         doubled = 2 * automorphism_group(base).order
@@ -328,12 +321,7 @@ class _Medial:
         e.true("closed census maps both with and without free edges", len(self.free_seen) == 2)
         for label, count in self.violations.items():
             e.eq(f"medial {label} violations on closed census maps", count, 0)
-        return e.result("medial-maps")
-
-
-def check_medial(map_census: Iterable[CensusRecord]) -> CheckResult:
-    """Medial automorphism doubling and the medial count identities."""
-    return _feed(map_census, _Medial())[0]
+        return e
 
 
 def _involutions(n: int) -> list[tuple[int, ...]]:
@@ -448,7 +436,7 @@ class _CensusLaws:
 
     def result(self) -> list[str]:
         """The failed sub-checks for this kind."""
-        e = _Expect()
+        e = CheckResult("census-laws")
         e.eq(f"lifted subgroup not verified ({self.kind})", self.unverified, 0)
         e.eq(f"regular-but-unstable count ({self.kind})", self.regular_unstable, 0)
         if self.kind == MAP:
@@ -456,19 +444,7 @@ class _CensusLaws:
         e.eq(f"cover chi != 2 * base chi count ({self.kind})", self.bad_chi, 0)
         oracle = naive_class_counts(self.oracle_max, self.kind)
         e.eq(f"class counts vs brute-force oracle ({self.kind})", self.counts, oracle)
-        return e.failures
-
-
-def check_census_laws(
-    map_census: Iterable[CensusRecord],
-    hypermap_census: Iterable[CensusRecord],
-    oracle_max: int = 6,
-) -> CheckResult:
-    """Structural laws over the two censuses, plus the oracle count check,
-    in one pass over each census, so either may be a lazy iterator."""
-    (maps,) = _feed(map_census, _CensusLaws(MAP, oracle_max))
-    (hypermaps,) = _feed(hypermap_census, _CensusLaws(HYPERMAP, oracle_max))
-    return CheckResult("census-laws", maps + hypermaps)
+        return e.details
 
 
 class _RoundTrips:
@@ -487,7 +463,7 @@ class _RoundTrips:
             self.sample.append(rec.fs)
 
     def result(self) -> CheckResult:
-        e = _Expect()
+        e = CheckResult("round-trips")
         e.eq("cover/quotient round-trip failures", self.bad_round, 0)
         e.true("at least 20 sample maps", len(self.sample) >= 20)
         for fs in self.sample:
@@ -506,12 +482,7 @@ class _RoundTrips:
                     bad_canon += 1
                     break
         e.eq("canonical form relabeling failures", bad_canon, 0)
-        return e.result("round-trips")
-
-
-def check_round_trips(map_census: Iterable[CensusRecord]) -> CheckResult:
-    """Cover/quotient round trip, file round trip, canonical invariance."""
-    return _feed(map_census, _RoundTrips())[0]
+        return e
 
 
 MAP_CENSUS_FLAGS = 12

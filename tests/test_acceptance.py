@@ -1,12 +1,10 @@
 """Acceptance suite: one test per verification criterion.
 
 Each test prints its pass/fail line (visible with pytest -s) and asserts
-the criterion with the failing sub-checks in the message.  A last test
-checks that the three census criteria read their input once, so that
-``run_all`` may give them one stream.
+the criterion with the failing sub-checks in the message.  Criteria 08,
+09 and 10 take the results of ``verify``'s folds from the fixtures that
+read each large census once, as ``run_all`` does.
 """
-
-import pytest
 
 from flagmaps import verify
 
@@ -44,29 +42,14 @@ def test_criterion_07_symmetric_hypermap_family():
     _run(verify.check_symmetric_hypermaps())
 
 
-def test_criterion_08_medial_maps(map_census_12):
-    _run(verify.check_medial(map_census_12))
+def test_criterion_08_medial_maps(map_checks_12):
+    _run(map_checks_12["medial"])
 
 
-def test_criterion_09_census_laws(map_census_12, hypermap_census_10):
-    _run(verify.check_census_laws(map_census_12, hypermap_census_10))
+def test_criterion_09_census_laws(map_checks_12, hypermap_checks_10):
+    laws = map_checks_12["census_laws"] + hypermap_checks_10["census_laws"]
+    _run(verify.CheckResult("census-laws", laws))
 
 
-def test_criterion_10_round_trips(map_census_12):
-    _run(verify.check_round_trips(map_census_12))
-
-
-@pytest.mark.parametrize(
-    "check",
-    [
-        lambda maps, hypermaps: verify.check_medial(maps),
-        lambda maps, hypermaps: verify.check_census_laws(maps, hypermaps, oracle_max=4),
-        lambda maps, hypermaps: verify.check_round_trips(maps),
-    ],
-    ids=["medial", "census-laws", "round-trips"],
-)
-def test_census_checks_read_a_one_shot_stream(check, map_census_8, hypermap_census_7):
-    from_lists = check(map_census_8, hypermap_census_7)
-    from_streams = check((r for r in map_census_8), (r for r in hypermap_census_7))
-    assert from_lists.ok, from_lists.details
-    assert from_streams == from_lists
+def test_criterion_10_round_trips(map_checks_12):
+    _run(map_checks_12["round_trips"])

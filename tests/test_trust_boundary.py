@@ -13,6 +13,8 @@ function in ``src/flagmaps`` reads a ``stability_census`` into a
 collection, whether by a collection call, a comprehension or an
 unpacking display, so no census is held in memory; ``verify.run_all``
 gives each record to the folds of its criteria as the census yields it.
+The tests hold only the small censuses, maps up to 8 flags and
+hypermaps up to 7, as lists; they read the large ones as streams too.
 """
 
 import ast
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "flagmaps").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 ATTRIBUTE = "_validated"
 TIES = "_ties"
 EXPANSION = "generate_closure"
@@ -102,6 +105,11 @@ def materialised_censuses(text: str) -> list[tuple[str, str]]:
 def test_no_source_materialises_a_census():
     found = {p.name: materialised_censuses(p.read_text()) for p in SOURCES}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_tests_materialise_only_the_small_censuses():
+    found = [call for p in TESTS for call in materialised_censuses(p.read_text())]
+    assert found == [("map_census_8", "8"), ("hypermap_census_7", "7")]
 
 
 @pytest.mark.parametrize(
